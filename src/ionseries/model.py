@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import BasisMismatchError, InvalidBasisError, IonSeriesError
 
@@ -206,6 +205,21 @@ def ladder_matrix(basis: FockBasis) -> OperatorMatrix:
     return OperatorMatrix(_annihilation(basis.cutoff), basis.motional())
 
 
+def _displacement_entries(gamma: complex, cutoff: int) -> np.ndarray:
+    """Dense exp(gamma a^dag - conj(gamma) a) on a motional ladder of ``cutoff`` levels.
+
+    scipy's ``expm`` is imported on first use, so importing the package does
+    not load ``scipy.linalg``.
+    """
+    gamma = complex(gamma)
+    if gamma == 0:
+        return np.eye(cutoff, dtype=complex)
+    from scipy.linalg import expm
+
+    a = _annihilation(cutoff)
+    return expm(gamma * a.conj().T - np.conj(gamma) * a)
+
+
 def displacement_matrix(gamma: complex, basis: FockBasis) -> OperatorMatrix:
     """Displacement operator exp(gamma a^dag - conj(gamma) a) on the motional sector.
 
@@ -216,13 +230,7 @@ def displacement_matrix(gamma: complex, basis: FockBasis) -> OperatorMatrix:
     top-left k x k block with k = cutoff - ceil(8 |gamma|^2).
     """
     cutoff = basis.cutoff
-    a = _annihilation(cutoff)
-    gamma = complex(gamma)
-    generator = gamma * a.conj().T - np.conj(gamma) * a
-    if gamma == 0:
-        entries = np.eye(cutoff, dtype=complex)
-    else:
-        entries = expm(generator)
+    entries = _displacement_entries(gamma, cutoff)
     k = max(1, cutoff - math.ceil(8.0 * abs(gamma) ** 2))
     block = entries[:k, :k]
     defect = float(np.max(np.abs(block @ block.conj().T - np.eye(k))))
@@ -250,6 +258,8 @@ def build_h_lab(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     H = (Delta/2) sigma_z + a^dag a
         + (Omega/2)(sigma_+ e^{i eta x} + sigma_- e^{-i eta x}),   x = a + a^dag.
     """
+    from scipy.linalg import expm
+
     _require_spin2(basis, "build_h_lab")
     cutoff = basis.cutoff
     a = _annihilation(cutoff)
@@ -273,17 +283,20 @@ def build_h_transformed(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     """
     _require_spin2(basis, "build_h_transformed")
     d = derive_params(p)
-    cutoff = basis.cutoff
-    a = _annihilation(cutoff)
-    x = a + a.T
-    number = np.diag(np.arange(float(cutoff)))
-    eye_m = np.eye(cutoff)
-    H = (
-        np.kron(eye_m, (p.rabi / 2.0) * sigma_z())
-        + np.kron(number, np.eye(2))
-        + np.kron(d.g * x + d.eps * eye_m, sigma_x())
-        + d.g**2 * np.eye(basis.dim)
-    )
+    r = p.rabi / 2.0
+    n = np.arange(float(basis.cutoff))
+    dn = np.arange(0, basis.dim, 2)
+    up = dn + 1
+    # Each entry is, bit for bit, the four docstring terms summed left to
+    # right as dense matrices. A stored -0.0 would change LAPACK's rounding,
+    # so ``0.0 +`` turns eps = -0.0 (detuning 0) into the +0.0 that sum has.
+    H = np.zeros((basis.dim, basis.dim))
+    H[dn, dn] = (-r + n) + d.g**2
+    H[up, up] = (r + n) + d.g**2
+    H[dn, up] = H[up, dn] = 0.0 + d.eps
+    hop = 0.0 + d.g * np.sqrt(n[1:])  # g <n-1|x|n> = g sqrt(n), spin flipped
+    H[dn[:-1], up[1:]] = H[up[1:], dn[:-1]] = hop
+    H[up[:-1], dn[1:]] = H[dn[1:], up[:-1]] = hop
     _check_hermitian(H, "build_h_transformed")
     return OperatorMatrix(H, basis)
 
@@ -300,7 +313,7 @@ def transform_uv(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     """
     _require_spin2(basis, "transform_uv")
     cutoff = basis.cutoff
-    D = displacement_matrix(0.5j * p.lamb_dicke, basis).entries
+    D = _displacement_entries(0.5j * p.lamb_dicke, cutoff)
     rotation = np.diag((-1j) ** np.arange(cutoff))
     DR = D @ rotation / math.sqrt(2.0)
     DdR = D.conj().T @ rotation / math.sqrt(2.0)

@@ -43,7 +43,7 @@ from .errors import (
     SingularRecurrenceError,
     TruncationError,
 )
-from .model import FockBasis, ModelParams, derive_params, displacement_matrix
+from .model import FockBasis, ModelParams, _displacement_entries, derive_params
 from .states import StateVector
 
 __all__ = [
@@ -115,28 +115,33 @@ def _raw_recurrence(
     """Generate b_0..b_{n_max}, c_0..c_{n_max} from the two coupled recurrences.
 
     Seeds: b_0 = 1, c_0 = c0, and both coefficients vanish at negative index.
+    The loop runs on Python floats, which round exactly as float64 arrays do.
     """
-    b = np.zeros(n_max + 1)
-    c = np.zeros(n_max + 1)
-    b[0] = 1.0
-    c[0] = c0
+    E, z, rabi, g, eps = float(E), float(z), float(rabi), float(g), float(eps)
+    b = [1.0]
+    c = [float(c0)]
+    b_prev = c_prev = 0.0
     for n in range(n_max):
-        b_prev = b[n - 1] if n >= 1 else 0.0
-        c_prev = c[n - 1] if n >= 1 else 0.0
+        b_n, c_n = b[n], c[n]
         denom = g * (n + 1)
-        b[n + 1] = (
-            (E + rabi / 2.0 - n - g * g) * c[n]
-            + (g * z - eps) * b[n]
-            - g * b_prev
-            + z * c_prev
-        ) / denom
-        c[n + 1] = (
-            (E - rabi / 2.0 - n - g * g) * b[n]
-            + (g * z - eps) * c[n]
-            - g * c_prev
-            + z * b_prev
-        ) / denom
-    return b, c
+        b.append(
+            (
+                (E + rabi / 2.0 - n - g * g) * c_n
+                + (g * z - eps) * b_n
+                - g * b_prev
+                + z * c_prev
+            ) / denom
+        )
+        c.append(
+            (
+                (E - rabi / 2.0 - n - g * g) * b_n
+                + (g * z - eps) * c_n
+                - g * c_prev
+                + z * b_prev
+            ) / denom
+        )
+        b_prev, c_prev = b_n, c_n
+    return np.array(b), np.array(c)
 
 
 def recurrence_coefficients(
@@ -658,6 +663,30 @@ def special_case_small_eta(rabi: float, eps: float) -> Tuple[SpecialCaseSolution
 # Bargmann polynomial -> Fock vector
 # ---------------------------------------------------------------------------
 
+def _bargmann_seed(poly: Sequence[float], z: float, cutoff: int) -> np.ndarray:
+    """Fock vector sum_m s_m sqrt(m!) |m> of the Taylor-shifted polynomial.
+
+    ``s_m`` are the coefficients of P in powers of (alpha + z); applying the
+    displacement by -z to this seed gives :func:`bargmann_to_fock`.
+    """
+    poly = np.asarray(poly, dtype=complex)
+    deg = len(poly) - 1
+    if deg >= cutoff:
+        raise TruncationError(
+            f"polynomial degree {deg} does not fit in cutoff {cutoff}"
+        )
+    shifted = np.zeros(deg + 1, dtype=complex)
+    for m in range(deg + 1):
+        total = 0.0 + 0.0j
+        for n in range(m, deg + 1):
+            total += poly[n] * math.comb(n, m) * (-z) ** (n - m)
+        shifted[m] = total
+    fock = np.zeros(cutoff, dtype=complex)
+    for m in range(deg + 1):
+        fock[m] = shifted[m] * math.sqrt(math.factorial(m))
+    return fock
+
+
 def bargmann_to_fock(poly: Sequence[float], z: float, basis: FockBasis) -> np.ndarray:
     """Fock amplitudes (up to overall normalization) of exp(-z*alpha) * P(alpha).
 
@@ -667,25 +696,8 @@ def bargmann_to_fock(poly: Sequence[float], z: float, basis: FockBasis) -> np.nd
     apply the displacement by -z. Returns the raw (unnormalized) motional
     vector, length basis.cutoff.
     """
-    if basis.spin_dim != 1:
-        basis = basis.motional()
-    poly = np.asarray(poly, dtype=complex)
-    deg = len(poly) - 1
-    if deg >= basis.cutoff:
-        raise TruncationError(
-            f"polynomial degree {deg} does not fit in cutoff {basis.cutoff}"
-        )
-    shifted = np.zeros(deg + 1, dtype=complex)
-    for m in range(deg + 1):
-        total = 0.0 + 0.0j
-        for n in range(m, deg + 1):
-            total += poly[n] * math.comb(n, m) * (-z) ** (n - m)
-        shifted[m] = total
-    fock = np.zeros(basis.cutoff, dtype=complex)
-    for m in range(deg + 1):
-        fock[m] = shifted[m] * math.sqrt(math.factorial(m))
-    D = displacement_matrix(-z, basis).entries
-    return D @ fock
+    seed = _bargmann_seed(poly, z, basis.cutoff)
+    return _displacement_entries(-z, basis.cutoff) @ seed
 
 
 def series_to_fock(sol: SeriesSolution, basis: FockBasis) -> StateVector:
@@ -693,8 +705,9 @@ def series_to_fock(sol: SeriesSolution, basis: FockBasis) -> StateVector:
 
     Maps each component's Bargmann polynomial through the Taylor-shift /
     displaced-number-state construction and interleaves upper (b) and lower (c)
-    components. The basis must have spin_dim = 2 and comfortably contain the
-    displaced support; a tail-mass violation raises TruncationError.
+    components; both share one displacement D(-z). The basis must have
+    spin_dim = 2 and comfortably contain the displaced support; a tail-mass
+    violation raises TruncationError.
     """
     if basis.spin_dim != 2:
         raise ValueError("series_to_fock needs a spin_dim = 2 basis")
@@ -703,11 +716,11 @@ def series_to_fock(sol: SeriesSolution, basis: FockBasis) -> StateVector:
             f"cutoff {basis.cutoff} too small for order {sol.order} solution"
         )
     n_keep = sol.order + 1
-    up = bargmann_to_fock(sol.coeffs.b[:n_keep], sol.coeffs.z, basis.motional())
-    dn = bargmann_to_fock(sol.coeffs.c[:n_keep], sol.coeffs.z, basis.motional())
+    z = sol.coeffs.z
+    D = _displacement_entries(-z, basis.cutoff)
     amps = np.zeros(basis.dim, dtype=complex)
-    amps[1::2] = up
-    amps[0::2] = dn
+    amps[1::2] = D @ _bargmann_seed(sol.coeffs.b[:n_keep], z, basis.cutoff)
+    amps[0::2] = D @ _bargmann_seed(sol.coeffs.c[:n_keep], z, basis.cutoff)
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise IonSeriesError("series solution mapped to the zero vector")

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BasisMismatchError, TruncationError
-from .model import FockBasis, displacement_matrix
+from .model import FockBasis, _displacement_entries
 
 __all__ = [
     "StateVector",
@@ -168,7 +168,7 @@ def cat_state(eta: float, basis: FockBasis) -> StateVector:
 
     half = 0.5j * eta
     pair = _coherent_amplitudes(half, basis.cutoff) + _coherent_amplitudes(-half, basis.cutoff)
-    displaced = displacement_matrix(half, basis).entries @ pair
+    displaced = _displacement_entries(half, basis.cutoff) @ pair
     displaced = displaced / np.linalg.norm(displaced)
     overlap = float(abs(np.vdot(displaced, direct)))
     if overlap < 1.0 - 1e-9:
@@ -234,24 +234,33 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     gamma = -alpha
     G = gamma.size
 
-    # column 0: coherent amplitudes of each gamma, shape (G, cutoff)
-    col = np.empty((G, cutoff), dtype=complex)
-    col[:, 0] = np.exp(-0.5 * np.abs(gamma) ** 2)
+    # Row n of ``col`` holds <n|D(gamma)|j> for every grid point: shape
+    # (cutoff, G), so each recurrence step works on contiguous rows in place.
+    col = np.empty((cutoff, G), dtype=complex)
+    col[0] = np.exp(-0.5 * np.abs(gamma) ** 2)
     for n in range(1, cutoff):
-        col[:, n] = col[:, n - 1] * gamma / math.sqrt(n)
+        col[n] = col[n - 1] * gamma / math.sqrt(n)
 
-    signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
     u = amps[0] * col  # accumulate sum_j v_j * D(gamma)|j>
-    gconj = np.conj(gamma)[:, None]
+    gconj = np.conj(gamma)
+    neg_gconj = -gconj
+    root_n = np.sqrt(np.arange(1, cutoff))[:, None]
+    nxt = np.empty_like(col)
+    tmp = np.empty_like(col)
     for j in range(1, j_max + 1):
-        nxt = np.empty_like(col)
-        nxt[:, 0] = -gconj[:, 0] * col[:, 0]
-        nxt[:, 1:] = (
-            np.sqrt(np.arange(1, cutoff))[None, :] * col[:, :-1] - gconj * col[:, 1:]
-        )
-        col = nxt / math.sqrt(j)
+        np.multiply(neg_gconj, col[0], out=nxt[0])
+        np.multiply(root_n, col[:-1], out=nxt[1:])
+        np.multiply(gconj, col[1:], out=tmp[1:])
+        np.subtract(nxt[1:], tmp[1:], out=nxt[1:])
+        np.divide(nxt, math.sqrt(j), out=col)
         if amps[j] != 0:
-            u += amps[j] * col
+            np.multiply(amps[j], col, out=tmp)
+            u += tmp
 
+    # Back to (G, cutoff), C-contiguous, so the sum reduces in the same order.
+    # The recurrence buffers go first, so the copy does not raise peak memory.
+    del col, nxt, tmp
+    u = np.ascontiguousarray(u.T)
+    signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
     W = (2.0 / math.pi) * (signs[None, :] * np.abs(u) ** 2).sum(axis=1)
     return W.reshape(ps.size, xs.size)

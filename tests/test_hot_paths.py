@@ -1,0 +1,214 @@
+"""Byte identity of the fast hot paths against the straightforward forms they replace.
+
+Each reference below is the plain construction the library used before its
+hot path was rewritten: the Kronecker sum for H_I, the ndarray recurrence, one
+displacement per spin component, and the (grid point, Fock level) Wigner
+layout. CLI output is pinned digit for digit, so the fast paths must store
+the same bits, signed zeros included, not merely agree within a tolerance.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from ionseries import model, series, states
+from ionseries.model import FockBasis, ModelParams, build_h_transformed, derive_params
+from ionseries.series import _raw_recurrence, case1_closed_form, case2_closed_form
+from ionseries.states import StateVector, cat_state, coherent_state, wigner_grid
+
+
+def kron_h_transformed(p, basis):
+    """H_I as the sum of its four Kronecker terms."""
+    d = derive_params(p)
+    cutoff = basis.cutoff
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    x = a + a.T
+    number = np.diag(np.arange(float(cutoff)))
+    eye_m = np.eye(cutoff)
+    return (
+        np.kron(eye_m, (p.rabi / 2.0) * model.sigma_z())
+        + np.kron(number, np.eye(2))
+        + np.kron(d.g * x + d.eps * eye_m, model.sigma_x())
+        + d.g**2 * np.eye(basis.dim)
+    )
+
+
+def ndarray_recurrence(E, z, rabi, g, eps, c0, n_max):
+    b = np.zeros(n_max + 1)
+    c = np.zeros(n_max + 1)
+    b[0] = 1.0
+    c[0] = c0
+    for n in range(n_max):
+        b_prev = b[n - 1] if n >= 1 else 0.0
+        c_prev = c[n - 1] if n >= 1 else 0.0
+        denom = g * (n + 1)
+        b[n + 1] = (
+            (E + rabi / 2.0 - n - g * g) * c[n] + (g * z - eps) * b[n] - g * b_prev + z * c_prev
+        ) / denom
+        c[n + 1] = (
+            (E - rabi / 2.0 - n - g * g) * b[n] + (g * z - eps) * c[n] - g * c_prev + z * b_prev
+        ) / denom
+    return b, c
+
+
+def displaced_bargmann(poly, z, basis):
+    """bargmann_to_fock with its own displacement_matrix(-z)."""
+    poly = np.asarray(poly, dtype=complex)
+    deg = len(poly) - 1
+    fock = np.zeros(basis.cutoff, dtype=complex)
+    for m in range(deg + 1):
+        total = 0.0 + 0.0j
+        for n in range(m, deg + 1):
+            total += poly[n] * math.comb(n, m) * (-z) ** (n - m)
+        fock[m] = total * math.sqrt(math.factorial(m))
+    return model.displacement_matrix(-z, basis).entries @ fock
+
+
+def two_displacement_series_to_fock(sol, basis):
+    """series_to_fock with one displacement_matrix(-z) per spin component."""
+    n_keep = sol.order + 1
+    motional = basis.motional()
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[1::2] = displaced_bargmann(sol.coeffs.b[:n_keep], sol.coeffs.z, motional)
+    amps[0::2] = displaced_bargmann(sol.coeffs.c[:n_keep], sol.coeffs.z, motional)
+    return amps / np.linalg.norm(amps)
+
+
+def row_major_wigner(v, xs, ps):
+    """wigner_grid's recurrence over a (grid point, Fock level) array."""
+    amps = v.amplitudes / np.linalg.norm(v.amplitudes)
+    cutoff = v.basis.cutoff
+    support = np.nonzero(np.abs(amps) > 1e-14)[0]
+    j_max = int(support[-1]) if support.size else 0
+    gamma = -(xs[None, :] + 1j * ps[:, None]).ravel()
+    col = np.empty((gamma.size, cutoff), dtype=complex)
+    col[:, 0] = np.exp(-0.5 * np.abs(gamma) ** 2)
+    for n in range(1, cutoff):
+        col[:, n] = col[:, n - 1] * gamma / math.sqrt(n)
+    signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
+    u = amps[0] * col
+    gconj = np.conj(gamma)[:, None]
+    for j in range(1, j_max + 1):
+        nxt = np.empty_like(col)
+        nxt[:, 0] = -gconj[:, 0] * col[:, 0]
+        nxt[:, 1:] = np.sqrt(np.arange(1, cutoff))[None, :] * col[:, :-1] - gconj * col[:, 1:]
+        col = nxt / math.sqrt(j)
+        if amps[j] != 0:
+            u += amps[j] * col
+    W = (2.0 / math.pi) * (signs[None, :] * np.abs(u) ** 2).sum(axis=1)
+    return W.reshape(ps.size, xs.size)
+
+
+def _h_params(rng, count):
+    fixed = [
+        (0.5, 0.3, 0.0),  # detuning 0 stores eps = -0.0
+        (0.0, 0.3, 0.7),  # rabi 0
+        (0.0, 0.0, 0.0),
+        (0.0, 0.0, -0.0),
+        (1.2, 0.0, -0.4),  # lamb_dicke 0
+        (-0.0, -0.0, 0.25),
+    ]
+    drawn = [
+        (rng.uniform(0, 3), rng.uniform(0, 1.5), rng.uniform(-2, 2)) for _ in range(count)
+    ]
+    return [ModelParams(*t) for t in fixed + drawn]
+
+
+class TestBandBuiltHamiltonian:
+    def test_matches_kron_sum_bytes(self):
+        for p in _h_params(np.random.default_rng(11), 40):
+            for cutoff in (2, 3, 17, 60):
+                basis = FockBasis(cutoff)
+                fast = build_h_transformed(p, basis).entries
+                ref = kron_h_transformed(p, basis)
+                assert fast.dtype == ref.dtype and fast.flags.c_contiguous
+                assert fast.tobytes() == ref.tobytes(), (p, cutoff)
+
+
+class TestFloatRecurrence:
+    def test_matches_ndarray_recurrence_bytes(self):
+        rng = np.random.default_rng(12)
+        cases = [(2 - 0.3, 0.05, 0.5, 0.05, -0.3, 2.0, 3), (1.0, 0.0, 0.0, 1.0, -0.0, 0.0, 2)]
+        for _ in range(200):
+            g = rng.uniform(0.01, 0.8)
+            branch = rng.choice([-1.0, 1.0])
+            eps = rng.uniform(-2, 2)
+            cases.append(
+                (
+                    int(rng.integers(1, 9)) + branch * eps,
+                    branch * g,
+                    rng.uniform(0, 3),
+                    g,
+                    eps,
+                    rng.uniform(-3, 3),
+                    int(rng.integers(2, 12)),
+                )
+            )
+        for args in cases:
+            b, c = _raw_recurrence(*args)
+            rb, rc = ndarray_recurrence(*args)
+            assert b.dtype == rb.dtype and c.dtype == rc.dtype
+            assert b.tobytes() == rb.tobytes() and c.tobytes() == rc.tobytes(), args
+
+    def test_numpy_scalar_inputs_match(self):
+        args = tuple(np.float64(v) for v in (1.7, 0.15, 0.9, 0.15, -0.3, 0.4)) + (5,)
+        b, c = _raw_recurrence(*args)
+        rb, rc = ndarray_recurrence(*args)
+        assert b.tobytes() == rb.tobytes() and c.tobytes() == rc.tobytes()
+
+
+class TestSharedDisplacement:
+    def test_matches_per_component_displacement_bytes(self):
+        sols = [case1_closed_form(eta, eps, br) for eta, eps, br in
+                [(0.3, -0.2, 1), (0.3, 0.2, -1), (0.8, 0.1, 1), (1.1, 0.7, 1)]]
+        for rabi, eta in ((0.5, 0.3), (1.0, 0.6), (2.0, 1.2)):
+            sols.extend(case2_closed_form(rabi, eta))
+        assert len(sols) > 8
+        for sol in sols:
+            for cutoff in (60, 150):
+                basis = FockBasis(cutoff)
+                fast = series.series_to_fock(sol, basis).amplitudes
+                assert fast.tobytes() == two_displacement_series_to_fock(sol, basis).tobytes()
+            b, z, motional = sol.coeffs.b[: sol.order + 1], sol.coeffs.z, FockBasis(60, 1)
+            single = series.bargmann_to_fock(b, z, motional)
+            assert single.tobytes() == displaced_bargmann(b, z, motional).tobytes()
+
+
+class TestColumnMajorWigner:
+    def test_matches_row_major_bytes(self):
+        basis = FockBasis(cutoff=40, spin_dim=1)
+        xs = np.linspace(-3, 3, 25)
+        ps = np.linspace(-2.5, 3.5, 31)
+        vs = [
+            cat_state(1.3, basis),
+            cat_state(0.0, basis),
+            coherent_state(0.8 - 0.4j, basis),
+            StateVector(np.eye(40)[3], basis),
+        ]
+        rng = np.random.default_rng(7)
+        mixed = np.zeros(40, dtype=complex)
+        mixed[:12] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        mixed[5] = 0.0
+        vs.append(StateVector(mixed, basis))
+        for v in vs:
+            W = wigner_grid(v, xs, ps)
+            assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes()
+        single = wigner_grid(vs[0], np.array([0.0]), np.array([0.0]))
+        assert single.tobytes() == row_major_wigner(vs[0], np.array([0.0]), np.array([0.0])).tobytes()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(states.__file__).resolve().parents[1]
+    code = "import sys, ionseries.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
