@@ -56,6 +56,7 @@ from .series import (
     bargmann_to_fock,
     case1_closed_form,
     case2_closed_form,
+    case2_energies,
     energy_identity_case1,
     eq7_residual,
     implied_detuning_case1,
@@ -65,7 +66,6 @@ from .series import (
     terminate_general,
 )
 from .states import (
-    CatParams,
     StateVector,
     cat_state,
     coherent_state,
@@ -112,6 +112,7 @@ __all__ = [
     "implied_detuning_case1",
     "appendix_quadratic",
     "case2_closed_form",
+    "case2_energies",
     "eq7_residual",
     "terminate_general",
     "special_case_small_eta",
@@ -133,7 +134,6 @@ __all__ = [
     "validate_series_solution",
     # states
     "StateVector",
-    "CatParams",
     "coherent_state",
     "cat_state",
     "fidelity",

@@ -22,9 +22,10 @@ oracle    Diagonalize the transformed Hamiltonian and print interior
 Conventions: floats are written with %.12g so identical configurations give
 byte-identical files; infeasible parameter regions produce no rows (never
 placeholder zeros); exit codes are 0 success, 1 validation failure, 2 bad
-arguments/paths, 3 solver non-convergence. The environment variable
-IONTRAP_CUTOFF overrides the default basis cutoff of 150; an explicit
---cutoff flag overrides both.
+arguments, paths or parameter values, 3 solver non-convergence. The
+environment variable IONTRAP_CUTOFF overrides the default basis cutoff of 150;
+an explicit --cutoff flag overrides both. A --config JSON object is read as
+``--key=value`` flags ahead of the command line's own, so explicit flags win.
 """
 
 from __future__ import annotations
@@ -34,19 +35,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConstraintInfeasibleError,
-    DegenerateQuadraticError,
-    IonSeriesError,
-    NoSolutionFoundError,
-    PoleError,
-    SingularRecurrenceError,
-)
+from .errors import IonSeriesError, NoSolutionFoundError
 from .model import FockBasis, ModelParams, build_h_transformed
 from .oracle import (
     hermitian_eigensystem,
@@ -56,12 +49,11 @@ from .oracle import (
 from .rwa import RwaQuery, rwa_energy, rwa_hamiltonian, rwa_resonant_rabi
 from .series import (
     SeriesSolution,
-    appendix_quadratic,
     case1_closed_form,
     case2_closed_form,
+    case2_energies,
     energy_identity_case1,
     eq7_residual,
-    implied_detuning_case1,
     terminate_general,
 )
 from .states import cat_state, coherent_state, fidelity, parity, wigner_grid
@@ -97,47 +89,32 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# argument types and configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    omega: Optional[float] = None
-    eta_range: Optional[Tuple[float, float, float]] = None
-    cutoff: int = DEFAULT_CUTOFF
-    branches: Tuple[int, ...] = (1, -1)
-    output_path: Optional[str] = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.command not in ("fig", "solve", "validate", "cat", "oracle"):
-            raise CliError(f"unknown command {self.command!r}")
-        if self.cutoff < MIN_CUTOFF:
-            raise CliError(f"cutoff must be >= {MIN_CUTOFF}, got {self.cutoff}")
-        if self.eta_range is not None:
-            lo, hi, step = self.eta_range
-            if not (step > 0):
-                raise CliError(f"eta step must be > 0, got {step}")
-            if not (lo <= hi):
-                raise CliError(f"eta range must have min <= max, got {lo} > {hi}")
-        if self.format not in ("csv", "json"):
-            raise CliError(f"format must be csv or json, got {self.format!r}")
-
-
-def _parse_eta_range(text: str) -> Tuple[float, float, float]:
-    parts = text.split(":")
+def _floats(text: str, sep: str) -> Tuple[float, ...]:
+    """The floats of a ``sep``-separated list, or () if any part is not one."""
     try:
-        if len(parts) == 1:
-            v = float(parts[0])
-            return (v, v, 1.0)
-        if len(parts) == 3:
-            return (float(parts[0]), float(parts[1]), float(parts[2]))
+        return tuple(float(t) for t in text.split(sep))
     except ValueError:
-        pass
-    raise CliError(f"eta range must be 'min:max:step' or a single value, got {text!r}")
+        return ()
+
+
+def _range(text: str) -> Tuple[float, float, float]:
+    """argparse type of --eta and --wigner: 'min:max:step' or a single value."""
+    vals = _floats(text, ":")
+    if len(vals) == 1:
+        return (vals[0], vals[0], 1.0)
+    if len(vals) != 3:
+        raise argparse.ArgumentTypeError(
+            f"must be 'min:max:step' or a single value, got {text!r}"
+        )
+    lo, hi, step = vals
+    if not (step > 0):
+        raise argparse.ArgumentTypeError(f"step must be > 0, got {step}")
+    if not (lo <= hi):
+        raise argparse.ArgumentTypeError(f"range must have min <= max, got {lo} > {hi}")
+    return vals
 
 
 def _eta_points(rng: Tuple[float, float, float]) -> List[float]:
@@ -150,17 +127,20 @@ def _eta_points(rng: Tuple[float, float, float]) -> List[float]:
     return [lo + i * step for i in range(n + 1)]
 
 
-def _default_cutoff() -> int:
-    raw = os.environ.get("IONTRAP_CUTOFF")
-    if raw is None:
-        return DEFAULT_CUTOFF
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"IONTRAP_CUTOFF must be an integer, got {raw!r}")
+def _int_at_least(minimum: int):
+    """argparse type of an integer >= ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
-def _parse_branches(text: str) -> Tuple[int, ...]:
+def _branches(text: str) -> Tuple[int, ...]:
+    """argparse type of --branch: a comma list of + and -."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -169,48 +149,50 @@ def _parse_branches(text: str) -> Tuple[int, ...]:
         elif tok in ("-", "-1", "minus"):
             out.append(-1)
         else:
-            raise CliError(f"branch must be + or -, got {tok!r}")
+            raise argparse.ArgumentTypeError(f"branch must be + or -, got {tok!r}")
     return tuple(dict.fromkeys(out))
 
 
-def _load_config_overrides(args: argparse.Namespace) -> None:
-    """Fill unset CLI options from a JSON config file (flags win)."""
-    if not getattr(args, "config", None):
-        return
+def _guess(text: str) -> Tuple[float, float, float]:
+    """argparse type of --guess: exactly three numbers rabi,eps,c0."""
+    vals = _floats(text, ",")
+    if len(vals) != 3:
+        raise argparse.ArgumentTypeError(f"needs three numbers rabi,eps,c0, got {text!r}")
+    return vals
+
+
+def _grid(text: str) -> Tuple[int, int]:
+    """argparse type of --grid: two integers written like 50x50."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        a, b = text.lower().split("x")
+        return (int(a), int(b))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must look like 50x50, got {text!r}") from None
+
+
+def _config_flags(path: str) -> List[str]:
+    """A JSON config object as ``--key=value`` flags; a list value becomes a:b:c."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {args.config}: {exc}")
+        raise CliError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise CliError("config file must hold a JSON object")
-    mapping = {
-        "omega": "omega",
-        "eta": "eta",
-        "cutoff": "cutoff",
-        "out": "out",
-        "output_path": "out",
-        "format": "format",
-        "branches": "branches",
-        "order": "order",
-        "branch": "branch",
-        "detuning": "detuning",
-        "suite": "suite",
-        "grid": "grid",
-    }
-    for key, attr in mapping.items():
-        if key in data and hasattr(args, attr) and getattr(args, attr) is None:
-            value = data[key]
-            if attr == "eta" and isinstance(value, (list, tuple)) and len(value) == 3:
-                value = f"{value[0]}:{value[1]}:{value[2]}"
-            setattr(args, attr, value)
+    flags = []
+    for key, value in data.items():
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = ":".join(str(v) for v in value)
+        key = "out" if key == "output_path" else key.replace("_", "-")
+        flags.append(f"--{key}={value}")
+    return flags
 
 
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -225,121 +207,53 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def _nearest_scheme(omega: float) -> RwaQuery:
     """Resonance nearest the requested rabi frequency; ties prefer M-scheme."""
-    best = None
-    for m in range(1, 7):
-        cand = ("M", m, abs(omega - 2.0 ** (-m)))
-        if best is None or cand[2] < best[2] - 1e-15:
-            best = cand
-    for k in range(1, 7):
-        cand = ("K", k, abs(omega - float(k)))
-        if best is None or cand[2] < best[2] - 1e-15:
-            best = cand
-    return RwaQuery(scheme=best[0], index=best[1])
+    queries = [RwaQuery(scheme=s, index=i) for s in ("M", "K") for i in range(1, 7)]
+    best = queries[0]
+    for q in queries[1:]:
+        if abs(omega - rwa_resonant_rabi(q)) < abs(omega - rwa_resonant_rabi(best)) - 1e-15:
+            best = q
+    return best
 
 
-@dataclass
-class CurvePoint:
-    eta: float
-    energy: float
-    source: str
-    branch_label: str
-    n_or_index: int
+def _order2_energy(omega: float, eta: float, branch: int, idx: int) -> Optional[float]:
+    energies = case2_energies(omega, eta)
+    return None if energies is None else energies[branch][idx]
 
 
-def _fig_curves(cfg: RunConfig, etas: List[float]):
-    """All curve samples for the figure sweep.
+def _fig_curves(omega: float):
+    """The nearest resonance and the curves in row order: label -> (source, branch, n, f).
 
-    Returns (points, rwa_curves, other_curves) where the curve dicts map a
-    label to per-eta values (None marks an infeasible gap).
+    ``f(eta)`` is the curve's energy, or None where it is infeasible. The same
+    callables are sampled for the rows and bisected for the crossings.
     """
-    omega = cfg.omega
     scheme = _nearest_scheme(omega)
     src_rwa = "rwa_eq10" if scheme.scheme == "M" else "rwa_eq12"
-    points: List[CurvePoint] = []
-    rwa_curves: Dict[str, List[Optional[float]]] = {}
-    other_curves: Dict[str, List[Optional[float]]] = {}
-
+    curves = {}
     for n in range(0, 7):
-        for sign in (1, -1):
-            label = f"{src_rwa}[n={n},{'+' if sign == 1 else '-'}]"
-            rwa_curves[label] = []
-    other_curves["eq13"] = []
-    for idx in (0, 1):
-        other_curves[f"appendix_a3[{idx}]"] = []
-        other_curves[f"appendix_a4[{idx}]"] = []
-
-    for eta in etas:
-        for n in range(0, 7):
-            for sign in (1, -1):
-                q = RwaQuery(scheme=scheme.scheme, index=scheme.index, n=n, sign=sign)
-                e = rwa_energy(q, eta)
-                label = f"{src_rwa}[n={n},{'+' if sign == 1 else '-'}]"
-                rwa_curves[label].append(e)
-                points.append(
-                    CurvePoint(eta, e, src_rwa, "+" if sign == 1 else "-", n)
-                )
-        e13 = energy_identity_case1(omega, eta)
-        other_curves["eq13"].append(e13)
-        points.append(CurvePoint(eta, e13, "eq13", "", 0))
-        try:
-            q2 = appendix_quadratic(omega, eta)
-        except DegenerateQuadraticError:
-            q2 = None
-        if q2 is not None and q2.discriminant >= 0:
-            g2 = (eta / 2.0) ** 2
-            root = math.sqrt(q2.discriminant)
-            xs = [(-q2.B + root) / (2 * q2.A), (-q2.B - root) / (2 * q2.A)]
-            ys = [(q2.B + root) / (2 * q2.A), (q2.B - root) / (2 * q2.A)]
-            for idx, x in enumerate(xs):
-                e = 2.0 + g2 + x
-                other_curves[f"appendix_a3[{idx}]"].append(e)
-                points.append(CurvePoint(eta, e, "appendix_a3", "+", idx))
-            for idx, y in enumerate(ys):
-                e = 2.0 + g2 - y
-                other_curves[f"appendix_a4[{idx}]"].append(e)
-                points.append(CurvePoint(eta, e, "appendix_a4", "-", idx))
-        else:
-            for idx in (0, 1):
-                other_curves[f"appendix_a3[{idx}]"].append(None)
-                other_curves[f"appendix_a4[{idx}]"].append(None)
-    return points, rwa_curves, other_curves, scheme
+        for sign, mark in ((1, "+"), (-1, "-")):
+            q = RwaQuery(scheme=scheme.scheme, index=scheme.index, n=n, sign=sign)
+            curves[f"{src_rwa}[n={n},{mark}]"] = (
+                src_rwa, mark, n, lambda eta, q=q: rwa_energy(q, eta)
+            )
+    curves["eq13"] = ("eq13", "", 0, lambda eta: energy_identity_case1(omega, eta))
+    for source, branch, mark in (("appendix_a3", 1, "+"), ("appendix_a4", -1, "-")):
+        for idx in (0, 1):
+            curves[f"{source}[{idx}]"] = (
+                source, mark, idx,
+                lambda eta, b=branch, i=idx: _order2_energy(omega, eta, b, i),
+            )
+    return scheme, curves
 
 
-def _curve_value(label: str, scheme: RwaQuery, omega: float, eta: float) -> Optional[float]:
-    """Re-evaluate one labelled curve at arbitrary eta (None in a gap)."""
-    if label.startswith("rwa_"):
-        inside = label[label.index("[") + 1 : -1]
-        n_part, sign_part = inside.split(",")
-        q = RwaQuery(
-            scheme=scheme.scheme,
-            index=scheme.index,
-            n=int(n_part.split("=")[1]),
-            sign=1 if sign_part == "+" else -1,
-        )
-        return rwa_energy(q, eta)
-    if label == "eq13":
-        return energy_identity_case1(omega, eta)
-    idx = int(label[label.index("[") + 1 : -1])
-    try:
-        q2 = appendix_quadratic(omega, eta)
-    except DegenerateQuadraticError:
-        return None
-    if q2.discriminant < 0:
-        return None
-    root = math.sqrt(q2.discriminant)
-    g2 = (eta / 2.0) ** 2
-    if label.startswith("appendix_a3"):
-        x = (-q2.B + root) / (2 * q2.A) if idx == 0 else (-q2.B - root) / (2 * q2.A)
-        return 2.0 + g2 + x
-    y = (q2.B + root) / (2 * q2.A) if idx == 0 else (q2.B - root) / (2 * q2.A)
-    return 2.0 + g2 - y
-
-
-def _find_crossings(cfg, etas, rwa_curves, other_curves, scheme) -> List[dict]:
+def _find_crossings(etas, curves, values) -> List[dict]:
     """Bracket sign changes of (rwa - other) on the grid and bisect to 1e-8."""
+    rwa_labels = [label for label, c in curves.items() if c[0].startswith("rwa_")]
+    other_labels = [label for label in curves if label not in rwa_labels]
     crossings = []
-    for rl, rvals in rwa_curves.items():
-        for ol, ovals in other_curves.items():
+    for rl in rwa_labels:
+        f_rwa, rvals = curves[rl][3], values[rl]
+        for ol in other_labels:
+            f_other, ovals = curves[ol][3], values[ol]
             for i in range(len(etas) - 1):
                 a, b = rvals[i], rvals[i + 1]
                 c, d = ovals[i], ovals[i + 1]
@@ -353,11 +267,10 @@ def _find_crossings(cfg, etas, rwa_curves, other_curves, scheme) -> List[dict]:
                     flo = f0
                     for _ in range(200):
                         mid = 0.5 * (lo + hi)
-                        rv = _curve_value(rl, scheme, cfg.omega, mid)
-                        ov = _curve_value(ol, scheme, cfg.omega, mid)
-                        if rv is None or ov is None:
+                        ov = f_other(mid)
+                        if ov is None:
                             break
-                        fm = rv - ov
+                        fm = f_rwa(mid) - ov
                         if flo * fm <= 0:
                             hi = mid
                         else:
@@ -365,9 +278,7 @@ def _find_crossings(cfg, etas, rwa_curves, other_curves, scheme) -> List[dict]:
                         if hi - lo < 1e-8:
                             break
                     eta_c = 0.5 * (lo + hi)
-                    e_c = _curve_value(rl, scheme, cfg.omega, eta_c)
-                    if e_c is None:
-                        continue
+                    e_c = f_rwa(eta_c)
                 else:
                     continue
                 crossings.append(
@@ -382,40 +293,44 @@ def _find_crossings(cfg, etas, rwa_curves, other_curves, scheme) -> List[dict]:
     return crossings
 
 
-def run_figure(cfg: RunConfig) -> int:
-    if cfg.omega is None:
+def run_figure(args: argparse.Namespace) -> int:
+    if args.omega is None:
         raise CliError("fig requires --omega")
-    if cfg.eta_range is None:
-        cfg.eta_range = (0.0, 1.0, 0.01)
-    etas = _eta_points(cfg.eta_range)
-    points, rwa_curves, other_curves, scheme = _fig_curves(cfg, etas)
+    etas = _eta_points(args.eta or (0.0, 1.0, 0.01))
+    scheme, curves = _fig_curves(args.omega)
+    values = {label: [c[3](eta) for eta in etas] for label, c in curves.items()}
+    rows = []
+    for i, eta in enumerate(etas):
+        for label, (source, mark, n, _) in curves.items():
+            energy = values[label][i]
+            if energy is not None:
+                rows.append((eta, energy, source, mark, n))
 
-    if cfg.format == "csv":
+    fmt = args.format or ("json" if args.out and args.out.endswith(".json") else "csv")
+    if fmt == "csv":
         lines = ["eta,energy,source,branch,n"]
-        for p in points:
-            lines.append(
-                f"{_fmt(p.eta)},{_fmt(p.energy)},{p.source},{p.branch_label},{p.n_or_index}"
-            )
-        _write_text(cfg.output_path, "\n".join(lines) + "\n")
+        for eta, energy, source, mark, n in rows:
+            lines.append(f"{_fmt(eta)},{_fmt(energy)},{source},{mark},{n}")
+        _write_text(args.out, "\n".join(lines) + "\n")
     else:
-        rows = [
+        doc = [
             {
-                "eta": _jfloat(p.eta),
-                "energy": _jfloat(p.energy),
-                "source": p.source,
-                "branch": p.branch_label,
-                "n": p.n_or_index,
+                "eta": _jfloat(eta),
+                "energy": _jfloat(energy),
+                "source": source,
+                "branch": mark,
+                "n": n,
             }
-            for p in points
+            for eta, energy, source, mark, n in rows
         ]
-        _write_text(cfg.output_path, json.dumps(rows, indent=1) + "\n")
+        _write_text(args.out, json.dumps(doc, indent=1) + "\n")
 
-    crossings = _find_crossings(cfg, etas, rwa_curves, other_curves, scheme)
-    if cfg.output_path is not None:
-        _write_text(cfg.output_path + ".crossings.json", json.dumps(crossings, indent=1) + "\n")
+    crossings = _find_crossings(etas, curves, values)
+    if args.out is not None:
+        _write_text(args.out + ".crossings.json", json.dumps(crossings, indent=1) + "\n")
     scheme_label = f"{scheme.scheme}={scheme.index}"
     print(
-        f"fig: omega={_fmt(cfg.omega)} scheme={scheme_label} rows={len(points)} "
+        f"fig: omega={_fmt(args.omega)} scheme={scheme_label} rows={len(rows)} "
         f"etas={len(etas)} crossings={len(crossings)}"
     )
     for c in crossings:
@@ -466,44 +381,35 @@ def _solution_payload(sol: SeriesSolution, cutoff: int, with_eq7: bool) -> dict:
     return payload
 
 
-def run_solve(args: argparse.Namespace, cfg: RunConfig) -> int:
+def run_solve(args: argparse.Namespace) -> int:
     order = args.order
     if order is None:
         raise CliError("solve requires --order")
-    if cfg.eta_range is None:
+    if args.eta is None:
         raise CliError("solve requires --eta")
-    eta = _eta_points(cfg.eta_range)[0]
-    branches = cfg.branches
+    eta = _eta_points(args.eta)[0]
+    branches = args.branch
 
     try:
         if order == 1:
-            detuning = args.detuning if args.detuning is not None else 0.0
-            eps = -detuning / 2.0
+            eps = -args.detuning / 2.0
             sols = [case1_closed_form(eta, eps, b) for b in branches]
         elif order == 2:
-            if cfg.omega is None:
+            if args.omega is None:
                 raise CliError("solve --order 2 requires --omega")
-            sols = case2_closed_form(cfg.omega, eta, branches=branches)
+            sols = case2_closed_form(args.omega, eta, branches=branches)
         else:
-            guess = None
-            if args.guess:
-                vals = [float(t) for t in args.guess.split(",")]
-                if len(vals) != 3:
-                    raise CliError("--guess needs rabi,eps,c0")
-                guess = tuple(vals)
             sols = [
                 terminate_general(
                     order,
                     b,
                     eta,
-                    guess=guess,
+                    guess=args.guess,
                     fix=args.fix,
-                    cutoff=cfg.cutoff,
+                    cutoff=args.cutoff,
                 )
                 for b in branches
             ]
-    except (ConstraintInfeasibleError, SingularRecurrenceError, PoleError, DegenerateQuadraticError) as exc:
-        raise CliError(f"solve: {exc}")
     except NoSolutionFoundError as exc:
         trace = ", ".join(_fmt(t) for t in (exc.residual_trace or []))
         raise CliError(
@@ -511,9 +417,9 @@ def run_solve(args: argparse.Namespace, cfg: RunConfig) -> int:
             code=EXIT_NO_CONVERGENCE,
         )
 
-    payloads = [_solution_payload(s, cfg.cutoff, with_eq7=(order == 2)) for s in sols]
+    payloads = [_solution_payload(s, args.cutoff, with_eq7=(order == 2)) for s in sols]
     doc = {"command": "solve", "solutions": payloads}
-    _write_text(cfg.output_path, json.dumps(doc, indent=1) + "\n")
+    _write_text(args.out, json.dumps(doc, indent=1) + "\n")
     for p in payloads:
         print(
             f"solve: order={p['order']} branch={p['branch']} "
@@ -550,13 +456,10 @@ def _check_a3a4(n_draws: int = 100, seed: int = 12345) -> dict:
     for _ in range(n_draws):
         omega = float(rng.uniform(0.0, 3.0))
         eta = float(rng.uniform(0.05, 1.2))
-        q = appendix_quadratic(omega, eta)
-        if q.discriminant < 0:
+        energies = case2_energies(omega, eta)
+        if energies is None:
             continue
-        g2 = (eta / 2.0) ** 2
-        root = math.sqrt(q.discriminant)
-        set_a3 = sorted([2 + g2 + (-q.B + s * root) / (2 * q.A) for s in (1, -1)])
-        set_a4 = sorted([2 + g2 - (q.B + s * root) / (2 * q.A) for s in (1, -1)])
+        set_a3, set_a4 = sorted(energies[1]), sorted(energies[-1])
         worst = max(worst, max(abs(x - y) for x, y in zip(set_a3, set_a4)))
         evaluated += 1
     return {
@@ -567,20 +470,16 @@ def _check_a3a4(n_draws: int = 100, seed: int = 12345) -> dict:
     }
 
 
-def _case_solutions(cutoff: int) -> List[SeriesSolution]:
+def _check_oracle_membership(cutoff: int, perturb: float) -> dict:
     sols = [
         case1_closed_form(0.2, 0.0, 1),
         case1_closed_form(0.3, 0.1, 1),
         case1_closed_form(0.25, -0.05, -1),
     ]
     sols += case2_closed_form(0.5, 0.1)
-    return sols
-
-
-def _check_oracle_membership(cutoff: int, perturb: float) -> dict:
     results = []
     passed = True
-    for sol in _case_solutions(cutoff):
+    for sol in sols:
         H = build_h_transformed(sol.params, FockBasis(cutoff))
         spec = hermitian_eigensystem(H)
         target = sol.energy + perturb
@@ -656,59 +555,28 @@ def _check_cat(cutoff: int = 100) -> dict:
     return {"passed": bool(worst > 1.0 - 1e-9), "min_identity_overlap": _jfloat(worst)}
 
 
-SUITES = {
-    "eq13": ("eq13_identity",),
-    "a3a4": ("a3a4_set_equality",),
-    "case1": ("case1_oracle",),
-    "case2": ("case2_oracle",),
-    "rwa": ("rwa_sector_agreement",),
-    "cat": ("cat_identity",),
-    "oracle": ("oracle_membership",),
-    "all": (
-        "eq13_identity",
-        "a3a4_set_equality",
-        "case1_oracle",
-        "case2_oracle",
-        "rwa_sector_agreement",
-        "cat_identity",
+# suite name -> (check id, check); ``all`` runs every check in this order
+CHECKS = {
+    "eq13": ("eq13_identity", lambda args: _check_eq13(args.grid)),
+    "a3a4": ("a3a4_set_equality", lambda args: _check_a3a4()),
+    "case1": ("case1_oracle", lambda args: _check_case_oracle(1, args.cutoff)),
+    "case2": ("case2_oracle", lambda args: _check_case_oracle(2, args.cutoff)),
+    "rwa": ("rwa_sector_agreement", lambda args: _check_rwa()),
+    "cat": ("cat_identity", lambda args: _check_cat()),
+    "oracle": (
         "oracle_membership",
+        lambda args: _check_oracle_membership(args.cutoff, args.perturb_energy),
     ),
 }
 
 
-def run_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    suite = args.suite or "all"
-    if suite not in SUITES:
-        raise CliError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    grid = (50, 50)
-    if args.grid:
-        try:
-            a, b = args.grid.lower().split("x")
-            grid = (int(a), int(b))
-        except ValueError:
-            raise CliError(f"--grid must look like 50x50, got {args.grid!r}")
-    perturb = args.perturb_energy or 0.0
-
-    checks = {}
-    for name in SUITES[suite]:
-        if name == "eq13_identity":
-            checks[name] = _check_eq13(grid)
-        elif name == "a3a4_set_equality":
-            checks[name] = _check_a3a4()
-        elif name == "case1_oracle":
-            checks[name] = _check_case_oracle(1, cfg.cutoff)
-        elif name == "case2_oracle":
-            checks[name] = _check_case_oracle(2, cfg.cutoff)
-        elif name == "rwa_sector_agreement":
-            checks[name] = _check_rwa()
-        elif name == "cat_identity":
-            checks[name] = _check_cat()
-        elif name == "oracle_membership":
-            checks[name] = _check_oracle_membership(cfg.cutoff, perturb)
-
+def run_validate(args: argparse.Namespace) -> int:
+    suite = args.suite
+    selected = CHECKS.values() if suite == "all" else [CHECKS[suite]]
+    checks = {name: check(args) for name, check in selected}
     all_passed = bool(all(c["passed"] for c in checks.values()))
     report = {"command": "validate", "suite": suite, "passed": all_passed, "checks": checks}
-    _write_text(cfg.output_path, json.dumps(report, indent=1) + "\n")
+    _write_text(args.out, json.dumps(report, indent=1) + "\n")
     failing = [name for name, c in checks.items() if not c["passed"]]
     if failing:
         print(f"validate: FAILED checks: {', '.join(failing)}")
@@ -721,11 +589,11 @@ def run_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
 # cat / oracle
 # ---------------------------------------------------------------------------
 
-def run_cat(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.eta_range is None:
+def run_cat(args: argparse.Namespace) -> int:
+    if args.eta is None:
         raise CliError("cat requires --eta")
-    eta = _eta_points(cfg.eta_range)[0]
-    basis = FockBasis(cutoff=cfg.cutoff, spin_dim=1)
+    eta = _eta_points(args.eta)[0]
+    basis = FockBasis(cutoff=args.cutoff, spin_dim=1)
     v = cat_state(eta, basis)
     coh = coherent_state(1j * eta, basis)  # the displaced lobe, for reference
     n_show = min(basis.cutoff, 16)
@@ -738,16 +606,15 @@ def run_cat(args: argparse.Namespace, cfg: RunConfig) -> int:
         "fidelity_vs_coherent": _jfloat(fidelity(v, coh)),
         "amplitudes": [[_jfloat(a.real), _jfloat(a.imag)] for a in v.amplitudes[:n_show]],
     }
-    _write_text(cfg.output_path, json.dumps(doc, indent=1) + "\n")
+    _write_text(args.out, json.dumps(doc, indent=1) + "\n")
     if args.wigner:
-        rng_w = _parse_eta_range(args.wigner)
-        axis = _eta_points((rng_w[0], rng_w[1], rng_w[2]))
+        axis = _eta_points(args.wigner)
         W = wigner_grid(v, np.array(axis), np.array(axis))
         lines = ["x,p,w"]
         for i, p in enumerate(axis):
             for j, x in enumerate(axis):
                 lines.append(f"{_fmt(x)},{_fmt(p)},{_fmt(W[i, j])}")
-        out = (cfg.output_path or "cat") + ".wigner.csv"
+        out = (args.out or "cat") + ".wigner.csv"
         _write_text(out, "\n".join(lines) + "\n")
         print(f"cat: wigner grid {len(axis)}x{len(axis)} -> {out}")
     print(
@@ -757,22 +624,21 @@ def run_cat(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.omega is None or cfg.eta_range is None:
+def run_oracle(args: argparse.Namespace) -> int:
+    if args.omega is None or args.eta is None:
         raise CliError("oracle requires --omega and --eta")
-    eta = _eta_points(cfg.eta_range)[0]
-    detuning = args.detuning if args.detuning is not None else 0.0
-    p = ModelParams(rabi=cfg.omega, lamb_dicke=eta, detuning=detuning)
-    H = build_h_transformed(p, FockBasis(cfg.cutoff))
+    eta = _eta_points(args.eta)[0]
+    p = ModelParams(rabi=args.omega, lamb_dicke=eta, detuning=args.detuning)
+    H = build_h_transformed(p, FockBasis(args.cutoff))
     spec = hermitian_eigensystem(H)
     interior = spec.interior()
-    count = min(args.count or 20, interior.size)
+    count = min(args.count, interior.size)
     doc = {
         "command": "oracle",
-        "rabi": _jfloat(cfg.omega),
+        "rabi": _jfloat(args.omega),
         "lamb_dicke": _jfloat(eta),
-        "detuning": _jfloat(detuning),
-        "cutoff": cfg.cutoff,
+        "detuning": _jfloat(args.detuning),
+        "cutoff": args.cutoff,
         "interior_eigenvalues": [_jfloat(v) for v in interior[:count]],
     }
     if args.target is not None:
@@ -782,12 +648,21 @@ def run_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
             "eigenvalue": _jfloat(pair.value),
             "gap_to_next": _jfloat(pair.gap_to_next),
         }
-    _write_text(cfg.output_path, json.dumps(doc, indent=1) + "\n")
+    _write_text(args.out, json.dumps(doc, indent=1) + "\n")
     print(
-        f"oracle: cutoff={cfg.cutoff} interior={interior.size} "
+        f"oracle: cutoff={args.cutoff} interior={interior.size} "
         f"lowest={_fmt(interior[0])}"
     )
     return EXIT_OK
+
+
+COMMANDS = {
+    "fig": run_figure,
+    "solve": run_solve,
+    "validate": run_validate,
+    "cat": run_cat,
+    "oracle": run_oracle,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -804,90 +679,71 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="JSON file with run parameters (flags win)")
-        sp.add_argument("--cutoff", type=int, default=None, help="basis cutoff (>= 60)")
+        sp.add_argument(
+            "--cutoff",
+            type=_int_at_least(MIN_CUTOFF),
+            default=os.environ.get("IONTRAP_CUTOFF", str(DEFAULT_CUTOFF)),
+            help=f"basis cutoff (>= {MIN_CUTOFF}; default $IONTRAP_CUTOFF or {DEFAULT_CUTOFF})",
+        )
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
-        sp.add_argument("--eta", default=None, help="eta value or min:max:step range")
+        sp.add_argument("--eta", type=_range, default=None, help="eta value or min:max:step range")
 
     sp = sub.add_parser("fig", help="emit comparison curve family over an eta sweep")
     common(sp)
     sp.add_argument("--omega", type=float, default=None, help="rabi frequency for the sweep")
-    sp.add_argument("--branches", default=None, help="comma list of + and -")
 
     sp = sub.add_parser("solve", help="emit one terminated-series solution")
     common(sp)
     sp.add_argument("--order", type=int, default=None, help="termination order N >= 1")
-    sp.add_argument("--branch", default=None, help="+ or - (default both)")
+    sp.add_argument("--branch", type=_branches, default=(1, -1), help="+ or - (default both)")
     sp.add_argument("--omega", type=float, default=None, help="rabi frequency (order 2)")
-    sp.add_argument("--detuning", type=float, default=None, help="detuning (order 1)")
-    sp.add_argument("--guess", default=None, help="rabi,eps,c0 start (order >= 3)")
+    sp.add_argument("--detuning", type=float, default=0.0, help="detuning (order 1)")
+    sp.add_argument("--guess", type=_guess, default=None, help="rabi,eps,c0 start (order >= 3)")
     sp.add_argument("--fix", choices=("eps", "rabi"), default=None)
 
     sp = sub.add_parser("validate", help="run the invariant suite")
     common(sp)
-    sp.add_argument("--suite", default=None, help=f"one of {sorted(SUITES)}")
-    sp.add_argument("--grid", default=None, help="identity grid size, e.g. 50x50")
+    sp.add_argument("--suite", choices=(*CHECKS, "all"), default="all")
+    sp.add_argument("--grid", type=_grid, default=(50, 50), help="identity grid size, e.g. 50x50")
     sp.add_argument(
         "--perturb-energy",
         type=float,
-        default=None,
+        default=0.0,
         help="negative-control hook: offset added to energies in oracle_membership",
     )
 
     sp = sub.add_parser("cat", help="construct the displaced-even-coherent state")
     common(sp)
-    sp.add_argument("--wigner", default=None, help="grid min:max:step for a Wigner CSV")
+    sp.add_argument("--wigner", type=_range, default=None, help="grid min:max:step for a Wigner CSV")
 
     sp = sub.add_parser("oracle", help="diagonalize the transformed Hamiltonian")
     common(sp)
     sp.add_argument("--omega", type=float, default=None, help="rabi frequency")
-    sp.add_argument("--detuning", type=float, default=None)
-    sp.add_argument("--count", type=int, default=None, help="how many eigenvalues to list")
+    sp.add_argument("--detuning", type=float, default=0.0)
+    sp.add_argument("--count", type=_int_at_least(1), default=20, help="how many eigenvalues to list")
     sp.add_argument("--target", type=float, default=None, help="report nearest eigenvalue")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _load_config_overrides(args)
-        branches = (1, -1)
-        if getattr(args, "branch", None):
-            branches = _parse_branches(args.branch)
-        elif getattr(args, "branches", None):
-            branches = _parse_branches(args.branches)
-        fmt = args.format
-        if fmt is None:
-            out = args.out
-            fmt = "json" if (out and out.endswith(".json")) else "csv"
-        cfg = RunConfig(
-            command=args.command,
-            omega=getattr(args, "omega", None),
-            eta_range=_parse_eta_range(args.eta) if args.eta else None,
-            cutoff=args.cutoff if args.cutoff is not None else _default_cutoff(),
-            branches=branches,
-            output_path=args.out,
-            format=fmt,
-        )
-        if args.command == "fig":
-            return run_figure(cfg)
-        if args.command == "solve":
-            return run_solve(args, cfg)
-        if args.command == "validate":
-            return run_validate(args, cfg)
-        if args.command == "cat":
-            return run_cat(args, cfg)
-        if args.command == "oracle":
-            return run_oracle(args, cfg)
-        raise CliError(f"unknown command {args.command!r}")
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = parser.parse_args(argv)
+        if args.config:
+            # Config flags go ahead of the command line's own, so those win;
+            # flags this subcommand does not have come back unparsed, ignored.
+            args, _ = parser.parse_known_args(
+                [argv[0], *_config_flags(args.config), *argv[1:]]
+            )
+        return COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse has printed the usage error; return its code
         return exc.code
-    except IonSeriesError as exc:
+    except (CliError, IonSeriesError, ValueError) as exc:  # ValueError: bad library input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

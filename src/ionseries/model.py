@@ -156,7 +156,12 @@ class OperatorMatrix:
 
     def hermiticity_defect(self) -> float:
         """Entrywise max |H - H^dagger|."""
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        return _hermiticity_defect(self.entries)
+
+
+def _hermiticity_defect(M: np.ndarray) -> float:
+    """Entrywise max |M - M^dagger|."""
+    return float(np.max(np.abs(M - M.conj().T)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,7 @@ def _require_spin2(basis: FockBasis, who: str) -> None:
 
 
 def _check_hermitian(H: np.ndarray, who: str) -> None:
-    defect = float(np.max(np.abs(H - H.conj().T)))
+    defect = _hermiticity_defect(H)
     if defect >= HERMITICITY_TOL:
         raise IonSeriesError(f"{who} produced a non-Hermitian matrix (defect {defect:.3e})")
 

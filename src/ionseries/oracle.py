@@ -88,7 +88,7 @@ def hermitian_eigensystem(H: OperatorMatrix, want_vectors: bool = False) -> Spec
     eigenvalue order.
     """
     M = np.asarray(H.entries)
-    defect = float(np.max(np.abs(M - M.conj().T)))
+    defect = H.hermiticity_defect()
     if defect >= 1e-10:
         raise NonHermitianError(
             f"matrix is not Hermitian (defect {defect:.3e} >= 1e-10)", defect=defect

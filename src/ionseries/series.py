@@ -28,7 +28,7 @@ which at fixed lamb_dicke is a one-dimensional curve in (rabi, eps, c0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +57,7 @@ __all__ = [
     "implied_detuning_case1",
     "appendix_quadratic",
     "case2_closed_form",
+    "case2_energies",
     "eq7_residual",
     "terminate_general",
     "special_case_small_eta",
@@ -348,6 +349,21 @@ def _affine_conditions(
     return t0, t1 - t0, u0, u1 - u0
 
 
+def _case2_roots(q: QuadraticCoeffs) -> Optional[dict]:
+    """Roots ``{+1: (X0, X1), -1: (Y0, Y1)}`` of A*X^2 + B*X + C and A*Y^2 - B*Y + C.
+
+    Index 0 takes +sqrt(discriminant); None when the discriminant is negative.
+    """
+    if q.discriminant < 0:
+        return None
+    root = math.sqrt(q.discriminant)
+    two_a = 2.0 * q.A
+    return {
+        1: ((-q.B + root) / two_a, (-q.B - root) / two_a),
+        -1: ((q.B + root) / two_a, (q.B - root) / two_a),
+    }
+
+
 def case2_closed_form(rabi: float, eta: float, branches=(1, -1)) -> list:
     """All order-2 terminated solutions at given (rabi, lamb_dicke).
 
@@ -360,23 +376,16 @@ def case2_closed_form(rabi: float, eta: float, branches=(1, -1)) -> list:
     """
     if eta <= 0:
         raise SingularRecurrenceError("case2_closed_form requires eta > 0")
-    q = appendix_quadratic(rabi, eta)
-    if q.discriminant < 0:
+    roots = _case2_roots(appendix_quadratic(rabi, eta))
+    if roots is None:
         return []
     g = eta / 2.0
     g2 = g * g
-    root = math.sqrt(q.discriminant)
     solutions = []
     for branch in branches:
         branch = _norm_branch(branch)
-        for sign in (1.0, -1.0):
-            if branch == 1:
-                X = (-q.B + sign * root) / (2.0 * q.A)
-                eps = X + g2
-            else:
-                # A*Y^2 - B*Y + C = 0
-                Y = (q.B + sign * root) / (2.0 * q.A)
-                eps = Y - g2
+        for r in roots[branch]:
+            eps = r + g2 if branch == 1 else r - g2
             t0, t_slope, _, _ = _affine_conditions(2, branch, rabi, g, eps)
             if _at_pole(t_slope, t0):
                 raise PoleError(
@@ -387,6 +396,26 @@ def case2_closed_form(rabi: float, eta: float, branches=(1, -1)) -> list:
             c0 = -t0 / t_slope
             solutions.append(_solution_from_point(2, branch, eta, rabi, eps, c0))
     return solutions
+
+
+def case2_energies(rabi: float, eta: float) -> Optional[dict]:
+    """Order-2 energies ``{+1: (E0, E1), -1: (E0, E1)}`` without the solutions.
+
+    E = 2 + g^2 + X on the plus branch (eq. A3) and 2 + g^2 - Y on the minus
+    branch (eq. A4), in :func:`case2_closed_form`'s root order. None for a
+    negative discriminant and at g = 1; eta = 0 is allowed.
+    """
+    try:
+        roots = _case2_roots(appendix_quadratic(rabi, eta))
+    except DegenerateQuadraticError:
+        return None
+    if roots is None:
+        return None
+    g2 = (eta / 2.0) ** 2
+    return {
+        1: tuple(2.0 + g2 + x for x in roots[1]),
+        -1: tuple(2.0 + g2 - y for y in roots[-1]),
+    }
 
 
 def eq7_residual(rabi: float, eta: float, eps: float, branch) -> float:
@@ -433,6 +462,19 @@ _HEURISTIC_SEEDS = (
     (1.0, -1.4, 0.5),
     (2.0, -0.1, -0.8),
 )
+
+
+def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference Jacobian of the 3-residual ``f``, one column per entry of x."""
+    J = np.empty((3, len(x)))
+    for k in range(len(x)):
+        h = 1e-7 * max(1.0, abs(x[k]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[k] += h
+        xm[k] -= h
+        J[:, k] = (f(xp) - f(xm)) / (2.0 * h)
+    return J
 
 
 def terminate_general(
@@ -524,18 +566,7 @@ def terminate_general(
             if np.max(np.abs(F)) < tol:
                 converged = True
                 break
-            # central finite-difference Jacobian, column per free unknown
-            J = np.empty((3, len(x)))
-            for k in range(len(x)):
-                h = 1e-7 * max(1.0, abs(x[k]))
-                xp = x.copy()
-                xm = x.copy()
-                xp[k] += h
-                xm[k] -= h
-                J[:, k] = (
-                    residual_full(embed(xp, pinned_value))
-                    - residual_full(embed(xm, pinned_value))
-                ) / (2.0 * h)
+            J = _fd_jacobian(lambda xf: residual_full(embed(xf, pinned_value)), x)
             step = np.linalg.lstsq(J, -F, rcond=None)[0]
             if not np.all(np.isfinite(step)):
                 break
@@ -566,15 +597,7 @@ def terminate_general(
         # Rank of the full residual Jacobian at the converged point: 2, because
         # one linear dependency ties the three residuals together on the
         # manifold, leaving a one-dimensional solution curve in (rabi, eps, c0).
-        J_full = np.empty((3, 3))
-        for k in range(3):
-            h = 1e-7 * max(1.0, abs(full[k]))
-            xp = full.copy()
-            xm = full.copy()
-            xp[k] += h
-            xm[k] -= h
-            J_full[:, k] = (residual_full(xp) - residual_full(xm)) / (2.0 * h)
-        svals = np.linalg.svd(J_full, compute_uv=False)
+        svals = np.linalg.svd(_fd_jacobian(residual_full, full), compute_uv=False)
         sol.jacobian_rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
         if validate:
             from .oracle import hermitian_eigensystem, nearest_eigenpair

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .model import FockBasis, _displacement_entries
 
 __all__ = [
     "StateVector",
-    "CatParams",
     "coherent_state",
     "cat_state",
     "fidelity",
@@ -83,30 +81,6 @@ class StateVector:
         if total == 0:
             return 0.0
         return float(np.sum(np.abs(v[-k:]) ** 2) / total)
-
-
-@dataclass(frozen=True)
-class CatParams:
-    """Parameters of the cat-construction recipe.
-
-    The evolution time is tied to the effective laser frequency by
-    t * omega_l = 4*pi; omit ``t`` to have it computed.
-    """
-
-    eta: float
-    omega_l: float
-    t: Optional[float] = None
-
-    def __post_init__(self):
-        if not (self.omega_l > 0):
-            raise ValueError(f"omega_l must be > 0, got {self.omega_l}")
-        if self.t is None:
-            object.__setattr__(self, "t", 4.0 * math.pi / self.omega_l)
-        elif abs(self.t * self.omega_l - 4.0 * math.pi) > 1e-9 * 4.0 * math.pi:
-            raise ValueError(
-                f"t*omega_l = {self.t * self.omega_l} violates the recipe "
-                f"invariant t*omega_l = 4*pi"
-            )
 
 
 def _require_motional(basis: FockBasis, what: str) -> None:

@@ -240,6 +240,39 @@ class TestConfigAndEnvironment:
         assert code == 0
         assert json.loads(read(out))["cutoff"] == 100
 
+    def test_config_values_parsed_like_flags(self, tmp_path):
+        # JSON numbers, and output_path as an alias of out
+        flags_out = tmp_path / "flags.json"
+        assert main(["solve", "--order", "1", "--branch", "+", "--eta", "0.25",
+                     "--detuning", "0", "--out", str(flags_out)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg_out = tmp_path / "cfg_out.json"
+        cfg.write_text(json.dumps({"eta": 0.25, "detuning": 0, "output_path": str(cfg_out)}))
+        assert main(["solve", "--order", "1", "--branch", "+", "--config", str(cfg)]) == 0
+        assert cfg_out.read_bytes() == flags_out.read_bytes()
+
+    def test_config_string_omega_on_fig(self, tmp_path):
+        flags_out, cfg_out = tmp_path / "flags.csv", tmp_path / "cfg.csv"
+        assert main(["fig", "--omega", "0.5", "--eta", "0:0.2:0.1", "--out", str(flags_out)]) == 0
+        cfg = tmp_path / "cfg.json"
+        # a list is a min:max:step range; "suite" is not a fig flag and is ignored
+        cfg.write_text(json.dumps({"omega": "0.5", "eta": [0, 0.2, 0.1], "suite": "all"}))
+        assert main(["fig", "--config", str(cfg), "--out", str(cfg_out)]) == 0
+        assert cfg_out.read_bytes() == flags_out.read_bytes()
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cutoff": "abc"}))
+        code = main(["oracle", "--omega", "0.5", "--eta", "0.1", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_bad_cutoff_env_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("IONTRAP_CUTOFF", "30")
+        assert main(["oracle", "--omega", "0.5", "--eta", "0.1",
+                     "--out", str(tmp_path / "o.json")]) == 2
+
     def test_bad_config_path(self, tmp_path):
         code = main(
             ["solve", "--order", "1", "--eta", "0.2", "--branch", "+",
@@ -264,3 +297,33 @@ class TestUsageErrors:
     def test_cutoff_floor(self, tmp_path):
         assert main(["oracle", "--omega", "0.5", "--eta", "0.1", "--cutoff", "30",
                      "--out", str(tmp_path / "o.json")]) == 2
+
+    def test_wigner_zero_step(self, tmp_path):
+        assert main(["cat", "--eta", "0.5", "--wigner=0:1:0",
+                     "--out", str(tmp_path / "c.json")]) == 2
+
+    def test_wigner_inverted_range(self, tmp_path):
+        assert main(["cat", "--eta", "0.5", "--wigner=1:0:0.1",
+                     "--out", str(tmp_path / "c.json")]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_oracle_count_below_one(self, tmp_path, count):
+        assert main(["oracle", "--omega", "0.5", "--eta", "0.1", "--count", count,
+                     "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--omega", "-1", "--eta", "0.1"],
+            ["solve", "--order", "0", "--eta", "0.3"],
+            ["solve", "--order", "3", "--eta", "0.3", "--guess", "a,b,c"],
+            ["cat", "--eta=-0.5"],
+            ["solve", "--order", "1", "--eta=-0.2"],
+        ],
+        ids=["negative-omega", "order-0", "bad-guess", "negative-cat-eta", "negative-solve-eta"],
+    )
+    def test_domain_errors_exit_2_without_traceback(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err

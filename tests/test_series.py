@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ionseries as ions
+from ionseries import series
 from ionseries.errors import (
     ConstraintInfeasibleError,
     DegenerateCaseError,
@@ -18,6 +19,7 @@ from ionseries.errors import (
 )
 from ionseries.model import FockBasis, ModelParams
 from ionseries.series import (
+    QuadraticCoeffs,
     SeriesCoefficients,
     SeriesSolution,
     _affine_conditions,
@@ -25,6 +27,7 @@ from ionseries.series import (
     bargmann_to_fock,
     case1_closed_form,
     case2_closed_form,
+    case2_energies,
     energy_identity_case1,
     eq7_residual,
     implied_detuning_case1,
@@ -249,6 +252,75 @@ class TestCase2:
     def test_zero_eta_rejected(self):
         with pytest.raises(SingularRecurrenceError):
             case2_closed_form(0.5, 0.0)
+
+
+def fig_order2_energies(omega, eta):
+    """The order-2 energies as the fig command derived them before case2_energies."""
+    try:
+        q2 = series.appendix_quadratic(omega, eta)
+    except DegenerateQuadraticError:
+        return None
+    if q2.discriminant < 0:
+        return None
+    g2 = (eta / 2.0) ** 2
+    root = math.sqrt(q2.discriminant)
+    xs = [(-q2.B + root) / (2 * q2.A), (-q2.B - root) / (2 * q2.A)]
+    ys = [(q2.B + root) / (2 * q2.A), (q2.B - root) / (2 * q2.A)]
+    return {1: tuple(2.0 + g2 + x for x in xs), -1: tuple(2.0 + g2 - y for y in ys)}
+
+
+def hex_energies(energies):
+    if energies is None:
+        return None
+    return {branch: [e.hex() for e in pair] for branch, pair in energies.items()}
+
+
+class TestCase2Energies:
+    def test_bit_identical_to_fig_formula(self):
+        rng = np.random.default_rng(5)
+        draws = [(float(rng.uniform(0.0, 6.0)), float(rng.uniform(0.0, 4.0))) for _ in range(2000)]
+        draws += [(0.5, 0.0), (3.0, 0.0), (0.5, 2.0), (3.0, 2.0)]
+        for omega, eta in draws:
+            assert hex_energies(case2_energies(omega, eta)) == hex_energies(
+                fig_order2_energies(omega, eta)
+            ), (omega, eta)
+        assert case2_energies(0.5, 2.0) is None  # g = 1
+        assert case2_energies(3.0, 2.0) is None
+
+    def test_negative_discriminant_gives_none(self, monkeypatch):
+        # For real parameters the discriminant is (g^2 - 1)^2 (W^4 + 16 W^2 +
+        # 1024 g^2 + 64) / 4 >= 0, so random quadratics are injected to reach
+        # the negative branch; both formulas must agree bit for bit on each.
+        rng = np.random.default_rng(11)
+        negative = 0
+        for _ in range(400):
+            A, B, C = (float(v) for v in rng.uniform(-5.0, 5.0, 3))
+            q = QuadraticCoeffs(A=A, B=B, C=C, discriminant=B * B - 4.0 * A * C)
+            monkeypatch.setattr(series, "appendix_quadratic", lambda rabi, eta, q=q: q)
+            eta = float(rng.uniform(0.0, 3.0))
+            got = case2_energies(0.7, eta)
+            assert hex_energies(got) == hex_energies(fig_order2_energies(0.7, eta))
+            if q.discriminant < 0:
+                negative += 1
+                assert got is None
+                assert case2_closed_form(0.7, eta + 0.1) == []
+        assert negative > 100
+
+    def test_matches_closed_form_energy_sets(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(300):
+            omega, eta = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.05, 1.5))
+            try:
+                sols = case2_closed_form(omega, eta)
+            except PoleError:
+                continue
+            energies = case2_energies(omega, eta)
+            for branch in (1, -1):
+                closed = [s.energy for s in sols if s.branch == branch]
+                assert closed == pytest.approx(list(energies[branch]), abs=1e-12)
+            checked += 1
+        assert checked > 250
 
 
 class TestEq7Residual:

@@ -8,7 +8,6 @@ import pytest
 from ionseries.errors import BasisMismatchError, TruncationError
 from ionseries.model import FockBasis
 from ionseries.states import (
-    CatParams,
     StateVector,
     cat_state,
     coherent_state,
@@ -38,21 +37,6 @@ class TestStateVector:
         assert n.amplitudes[0] == pytest.approx(0.6, rel=1e-15)
         with pytest.raises(ValueError):
             StateVector(np.zeros(2), FockBasis(cutoff=2, spin_dim=1)).normalize()
-
-
-class TestCatParams:
-    def test_time_computed_from_frequency(self):
-        p = CatParams(eta=0.5, omega_l=2.0)
-        assert p.t == pytest.approx(2.0 * math.pi, rel=1e-15)
-
-    def test_time_frequency_product_enforced(self):
-        CatParams(eta=0.5, omega_l=2.0, t=2.0 * math.pi)  # consistent: accepted
-        with pytest.raises(ValueError):
-            CatParams(eta=0.5, omega_l=2.0, t=3.0)
-
-    def test_positive_frequency_required(self):
-        with pytest.raises(ValueError):
-            CatParams(eta=0.5, omega_l=0.0)
 
 
 class TestCoherent:
