@@ -22,10 +22,11 @@ oracle    Diagonalize the transformed Hamiltonian and print interior
 Conventions: floats are written with %.12g so identical configurations give
 byte-identical files; infeasible parameter regions produce no rows (never
 placeholder zeros); exit codes are 0 success, 1 validation failure, 2 bad
-arguments, paths or parameter values, 3 solver non-convergence. The
-environment variable IONTRAP_CUTOFF overrides the default basis cutoff of 150;
-an explicit --cutoff flag overrides both. A --config JSON object is read as
-``--key=value`` flags ahead of the command line's own, so explicit flags win.
+arguments, paths or parameter values, 3 solver non-convergence. Each
+subcommand takes only the flags it reads. Where --cutoff exists (all but fig),
+IONTRAP_CUTOFF overrides its default of 150 and an explicit --cutoff beats both.
+A --config JSON object is read as ``--key=value`` flags ahead of the command
+line's own, so explicit flags win and keys the subcommand lacks are ignored.
 """
 
 from __future__ import annotations
@@ -42,13 +43,16 @@ import numpy as np
 from .errors import IonSeriesError, NoSolutionFoundError
 from .model import FockBasis, ModelParams, build_h_transformed
 from .oracle import (
+    EIGEN_GAP_TOL,
     hermitian_eigensystem,
     nearest_eigenpair,
+    nearest_level,
     validate_series_solution,
 )
 from .rwa import RwaQuery, rwa_energy, rwa_hamiltonian, rwa_resonant_rabi
 from .series import (
     SeriesSolution,
+    _norm_branch,
     case1_closed_form,
     case2_closed_form,
     case2_energies,
@@ -60,6 +64,11 @@ from .states import cat_state, coherent_state, fidelity, parity, wigner_grid
 
 DEFAULT_CUTOFF = 150
 MIN_CUTOFF = 60
+#: Most points an --eta range may hold (the default fig sweep has 101).
+MAX_ETA_POINTS = 10_001
+#: Most points per axis of a --wigner range. The Wigner recurrence holds about
+#: 64 * cutoff bytes per grid point, so 101 x 101 points at cutoff 150 is ~100 MB.
+MAX_WIGNER_POINTS = 101
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,6 +89,11 @@ def _jfloat(x: float) -> float:
     return float(_fmt(x))
 
 
+def _sign(branch: int) -> str:
+    """The ``+``/``-`` label of a branch."""
+    return "+" if branch == 1 else "-"
+
+
 class CliError(Exception):
     """Usage-level error carrying the exit code."""
 
@@ -93,38 +107,50 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 def _floats(text: str, sep: str) -> Tuple[float, ...]:
-    """The floats of a ``sep``-separated list, or () if any part is not one."""
+    """The floats of a ``sep``-separated list, or () if any part is not a finite one."""
     try:
-        return tuple(float(t) for t in text.split(sep))
+        vals = tuple(float(t) for t in text.split(sep))
     except ValueError:
         return ()
+    return vals if all(math.isfinite(v) for v in vals) else ()
 
 
-def _range(text: str) -> Tuple[float, float, float]:
-    """argparse type of --eta and --wigner: 'min:max:step' or a single value."""
-    vals = _floats(text, ":")
-    if len(vals) == 1:
-        return (vals[0], vals[0], 1.0)
-    if len(vals) != 3:
-        raise argparse.ArgumentTypeError(
-            f"must be 'min:max:step' or a single value, got {text!r}"
-        )
-    lo, hi, step = vals
-    if not (step > 0):
-        raise argparse.ArgumentTypeError(f"step must be > 0, got {step}")
-    if not (lo <= hi):
-        raise argparse.ArgumentTypeError(f"range must have min <= max, got {lo} > {hi}")
-    return vals
+def _finite(text: str) -> float:
+    """argparse type of a finite float (--omega, --detuning, --target, ...)."""
+    vals = _floats(text, ",")
+    if len(vals) != 1:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return vals[0]
 
 
-def _eta_points(rng: Tuple[float, float, float]) -> List[float]:
-    lo, hi, step = rng
-    if hi == lo:
-        return [lo]
-    n = int(round((hi - lo) / step))
-    if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
-        n = int(math.floor((hi - lo) / step + 1e-12))
-    return [lo + i * step for i in range(n + 1)]
+def _range(max_points: int):
+    """argparse type of a range flag: 'min:max:step' or a single value, read as
+    the list of its points, of which there may be at most ``max_points``."""
+
+    def points(text: str) -> List[float]:
+        vals = _floats(text, ":")
+        if len(vals) == 1:
+            return [vals[0]]
+        if len(vals) != 3:
+            raise argparse.ArgumentTypeError(
+                f"must be 'min:max:step' or a single value of finite numbers, got {text!r}"
+            )
+        lo, hi, step = vals
+        if not (step > 0):
+            raise argparse.ArgumentTypeError(f"step must be > 0, got {step}")
+        if not (lo <= hi):
+            raise argparse.ArgumentTypeError(f"range must have min <= max, got {lo} > {hi}")
+        too_many = argparse.ArgumentTypeError(f"range {text!r} has more than {max_points} points")
+        if not (hi - lo) / step < max_points:  # also keeps round() below off inf
+            raise too_many
+        n = int(round((hi - lo) / step))
+        if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
+            n = int(math.floor((hi - lo) / step + 1e-12))
+        if n >= max_points:
+            raise too_many
+        return [lo] if hi == lo else [lo + i * step for i in range(n + 1)]
+
+    return points
 
 
 def _int_at_least(minimum: int):
@@ -141,16 +167,10 @@ def _int_at_least(minimum: int):
 
 def _branches(text: str) -> Tuple[int, ...]:
     """argparse type of --branch: a comma list of + and -."""
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok in ("+", "+1", "plus"):
-            out.append(1)
-        elif tok in ("-", "-1", "minus"):
-            out.append(-1)
-        else:
-            raise argparse.ArgumentTypeError(f"branch must be + or -, got {tok!r}")
-    return tuple(dict.fromkeys(out))
+    try:
+        return tuple(dict.fromkeys(_norm_branch(tok.strip()) for tok in text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _guess(text: str) -> Tuple[float, float, float]:
@@ -162,12 +182,15 @@ def _guess(text: str) -> Tuple[float, float, float]:
 
 
 def _grid(text: str) -> Tuple[int, int]:
-    """argparse type of --grid: two integers written like 50x50."""
+    """argparse type of --grid: two integers >= 1 written like 50x50."""
     try:
         a, b = text.lower().split("x")
-        return (int(a), int(b))
+        grid = (int(a), int(b))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must look like 50x50, got {text!r}") from None
+    if min(grid) < 1:
+        raise argparse.ArgumentTypeError(f"both sizes must be >= 1, got {text!r}")
+    return grid
 
 
 def _config_flags(path: str) -> List[str]:
@@ -230,16 +253,16 @@ def _fig_curves(omega: float):
     src_rwa = "rwa_eq10" if scheme.scheme == "M" else "rwa_eq12"
     curves = {}
     for n in range(0, 7):
-        for sign, mark in ((1, "+"), (-1, "-")):
+        for sign in (1, -1):
             q = RwaQuery(scheme=scheme.scheme, index=scheme.index, n=n, sign=sign)
-            curves[f"{src_rwa}[n={n},{mark}]"] = (
-                src_rwa, mark, n, lambda eta, q=q: rwa_energy(q, eta)
+            curves[f"{src_rwa}[n={n},{_sign(sign)}]"] = (
+                src_rwa, _sign(sign), n, lambda eta, q=q: rwa_energy(q, eta)
             )
     curves["eq13"] = ("eq13", "", 0, lambda eta: energy_identity_case1(omega, eta))
-    for source, branch, mark in (("appendix_a3", 1, "+"), ("appendix_a4", -1, "-")):
+    for source, branch in (("appendix_a3", 1), ("appendix_a4", -1)):
         for idx in (0, 1):
             curves[f"{source}[{idx}]"] = (
-                source, mark, idx,
+                source, _sign(branch), idx,
                 lambda eta, b=branch, i=idx: _order2_energy(omega, eta, b, i),
             )
     return scheme, curves
@@ -296,7 +319,7 @@ def _find_crossings(etas, curves, values) -> List[dict]:
 def run_figure(args: argparse.Namespace) -> int:
     if args.omega is None:
         raise CliError("fig requires --omega")
-    etas = _eta_points(args.eta or (0.0, 1.0, 0.01))
+    etas = args.eta
     scheme, curves = _fig_curves(args.omega)
     values = {label: [c[3](eta) for eta in etas] for label, c in curves.items()}
     rows = []
@@ -351,7 +374,7 @@ def _solution_payload(sol: SeriesSolution, cutoff: int, with_eq7: bool) -> dict:
     d_eps = -sol.params.detuning / 2.0
     payload = {
         "order": sol.order,
-        "branch": "+" if sol.branch == 1 else "-",
+        "branch": _sign(sol.branch),
         "rabi": _jfloat(sol.params.rabi),
         "lamb_dicke": _jfloat(sol.params.lamb_dicke),
         "detuning": _jfloat(sol.params.detuning),
@@ -387,7 +410,7 @@ def run_solve(args: argparse.Namespace) -> int:
         raise CliError("solve requires --order")
     if args.eta is None:
         raise CliError("solve requires --eta")
-    eta = _eta_points(args.eta)[0]
+    eta = args.eta[0]
     branches = args.branch
 
     try:
@@ -478,24 +501,20 @@ def _check_oracle_membership(cutoff: int, perturb: float) -> dict:
     ]
     sols += case2_closed_form(0.5, 0.1)
     results = []
-    passed = True
     for sol in sols:
-        H = build_h_transformed(sol.params, FockBasis(cutoff))
-        spec = hermitian_eigensystem(H)
         target = sol.energy + perturb
-        gap = abs(nearest_eigenpair(spec, target).value - target)
-        ok = gap < 1e-6
-        passed = passed and ok
+        gap = abs(nearest_level(sol.params, cutoff, target) - target)
+        ok = gap < EIGEN_GAP_TOL
         results.append(
             {
                 "order": sol.order,
-                "branch": "+" if sol.branch == 1 else "-",
+                "branch": _sign(sol.branch),
                 "energy": _jfloat(target),
                 "eigen_gap": _jfloat(gap),
                 "passed": bool(ok),
             }
         )
-    return {"passed": bool(passed), "solutions": results}
+    return {"passed": all(r["passed"] for r in results), "solutions": results}
 
 
 def _check_case_oracle(order: int, cutoff: int) -> dict:
@@ -505,7 +524,6 @@ def _check_case_oracle(order: int, cutoff: int) -> dict:
         sols = case2_closed_form(0.5, 0.1)
     basis = FockBasis(cutoff=cutoff, spin_dim=2)
     results = []
-    passed = True
     for sol in sols:
         rep = validate_series_solution(sol, basis)
         ok = rep.passed
@@ -514,10 +532,9 @@ def _check_case_oracle(order: int, cutoff: int) -> dict:
                 sol.params.rabi, sol.params.lamb_dicke, -sol.params.detuning / 2.0, sol.branch
             )
             ok = ok and r7 < 1e-9
-        passed = passed and ok
         results.append(
             {
-                "branch": "+" if sol.branch == 1 else "-",
+                "branch": _sign(sol.branch),
                 "energy": _jfloat(sol.energy),
                 "residual": _jfloat(rep.residual),
                 "eigen_gap": _jfloat(rep.eigen_gap),
@@ -525,7 +542,7 @@ def _check_case_oracle(order: int, cutoff: int) -> dict:
                 "passed": bool(ok),
             }
         )
-    return {"passed": bool(passed), "solutions": results}
+    return {"passed": all(r["passed"] for r in results), "solutions": results}
 
 
 def _check_rwa(cutoff: int = 60) -> dict:
@@ -592,7 +609,7 @@ def run_validate(args: argparse.Namespace) -> int:
 def run_cat(args: argparse.Namespace) -> int:
     if args.eta is None:
         raise CliError("cat requires --eta")
-    eta = _eta_points(args.eta)[0]
+    eta = args.eta[0]
     basis = FockBasis(cutoff=args.cutoff, spin_dim=1)
     v = cat_state(eta, basis)
     coh = coherent_state(1j * eta, basis)  # the displaced lobe, for reference
@@ -608,7 +625,7 @@ def run_cat(args: argparse.Namespace) -> int:
     }
     _write_text(args.out, json.dumps(doc, indent=1) + "\n")
     if args.wigner:
-        axis = _eta_points(args.wigner)
+        axis = args.wigner
         W = wigner_grid(v, np.array(axis), np.array(axis))
         lines = ["x,p,w"]
         for i, p in enumerate(axis):
@@ -627,7 +644,7 @@ def run_cat(args: argparse.Namespace) -> int:
 def run_oracle(args: argparse.Namespace) -> int:
     if args.omega is None or args.eta is None:
         raise CliError("oracle requires --omega and --eta")
-    eta = _eta_points(args.eta)[0]
+    eta = args.eta[0]
     p = ModelParams(rabi=args.omega, lamb_dicke=eta, detuning=args.detuning)
     H = build_h_transformed(p, FockBasis(args.cutoff))
     spec = hermitian_eigensystem(H)
@@ -656,15 +673,6 @@ def run_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "fig": run_figure,
-    "solve": run_solve,
-    "validate": run_validate,
-    "cat": run_cat,
-    "oracle": run_oracle,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
@@ -677,52 +685,68 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def subcommand(name: str, run, help: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", help="JSON file with run parameters (flags win)")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        return sp
+
+    def cutoff(sp):
         sp.add_argument(
             "--cutoff",
             type=_int_at_least(MIN_CUTOFF),
             default=os.environ.get("IONTRAP_CUTOFF", str(DEFAULT_CUTOFF)),
             help=f"basis cutoff (>= {MIN_CUTOFF}; default $IONTRAP_CUTOFF or {DEFAULT_CUTOFF})",
         )
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-        sp.add_argument("--eta", type=_range, default=None, help="eta value or min:max:step range")
 
-    sp = sub.add_parser("fig", help="emit comparison curve family over an eta sweep")
-    common(sp)
-    sp.add_argument("--omega", type=float, default=None, help="rabi frequency for the sweep")
+    def eta(sp, default=None):
+        sp.add_argument(
+            "--eta", type=_range(MAX_ETA_POINTS), default=default,
+            help="eta value or min:max:step range",
+        )
 
-    sp = sub.add_parser("solve", help="emit one terminated-series solution")
-    common(sp)
+    sp = subcommand("fig", run_figure, "emit comparison curve family over an eta sweep")
+    eta(sp, "0:1:0.01")
+    sp.add_argument("--format", choices=("csv", "json"), default=None)
+    sp.add_argument("--omega", type=_finite, default=None, help="rabi frequency for the sweep")
+
+    sp = subcommand("solve", run_solve, "emit one terminated-series solution")
+    cutoff(sp)
+    eta(sp)
     sp.add_argument("--order", type=int, default=None, help="termination order N >= 1")
     sp.add_argument("--branch", type=_branches, default=(1, -1), help="+ or - (default both)")
-    sp.add_argument("--omega", type=float, default=None, help="rabi frequency (order 2)")
-    sp.add_argument("--detuning", type=float, default=0.0, help="detuning (order 1)")
+    sp.add_argument("--omega", type=_finite, default=None, help="rabi frequency (order 2)")
+    sp.add_argument("--detuning", type=_finite, default=0.0, help="detuning (order 1)")
     sp.add_argument("--guess", type=_guess, default=None, help="rabi,eps,c0 start (order >= 3)")
     sp.add_argument("--fix", choices=("eps", "rabi"), default=None)
 
-    sp = sub.add_parser("validate", help="run the invariant suite")
-    common(sp)
+    sp = subcommand("validate", run_validate, "run the invariant suite")
+    cutoff(sp)
     sp.add_argument("--suite", choices=(*CHECKS, "all"), default="all")
     sp.add_argument("--grid", type=_grid, default=(50, 50), help="identity grid size, e.g. 50x50")
     sp.add_argument(
         "--perturb-energy",
-        type=float,
+        type=_finite,
         default=0.0,
         help="negative-control hook: offset added to energies in oracle_membership",
     )
 
-    sp = sub.add_parser("cat", help="construct the displaced-even-coherent state")
-    common(sp)
-    sp.add_argument("--wigner", type=_range, default=None, help="grid min:max:step for a Wigner CSV")
+    sp = subcommand("cat", run_cat, "construct the displaced-even-coherent state")
+    cutoff(sp)
+    eta(sp)
+    sp.add_argument(
+        "--wigner", type=_range(MAX_WIGNER_POINTS), default=None,
+        help="grid min:max:step for a Wigner CSV",
+    )
 
-    sp = sub.add_parser("oracle", help="diagonalize the transformed Hamiltonian")
-    common(sp)
-    sp.add_argument("--omega", type=float, default=None, help="rabi frequency")
-    sp.add_argument("--detuning", type=float, default=0.0)
+    sp = subcommand("oracle", run_oracle, "diagonalize the transformed Hamiltonian")
+    cutoff(sp)
+    eta(sp)
+    sp.add_argument("--omega", type=_finite, default=None, help="rabi frequency")
+    sp.add_argument("--detuning", type=_finite, default=0.0)
     sp.add_argument("--count", type=_int_at_least(1), default=20, help="how many eigenvalues to list")
-    sp.add_argument("--target", type=float, default=None, help="report nearest eigenvalue")
+    sp.add_argument("--target", type=_finite, default=None, help="report nearest eigenvalue")
 
     return parser
 
@@ -738,7 +762,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args, _ = parser.parse_known_args(
                 [argv[0], *_config_flags(args.config), *argv[1:]]
             )
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # argparse has printed the usage error; return its code
         return exc.code
     except (CliError, IonSeriesError, ValueError) as exc:  # ValueError: bad library input

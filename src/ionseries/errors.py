@@ -7,6 +7,12 @@ of the public API.
 
 from __future__ import annotations
 
+__all__ = [
+    "IonSeriesError", "InvalidBasisError", "BasisMismatchError", "SingularRecurrenceError",
+    "ConstraintInfeasibleError", "DegenerateQuadraticError", "PoleError", "TruncationError",
+    "NonHermitianError", "NoSolutionFoundError", "DegenerateCaseError",
+]
+
 
 class IonSeriesError(Exception):
     """Base class for all ionseries errors."""

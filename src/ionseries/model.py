@@ -38,16 +38,10 @@ __all__ = [
     "FockBasis",
     "OperatorMatrix",
     "derive_params",
-    "ladder_matrix",
     "displacement_matrix",
     "build_h_lab",
     "build_h_transformed",
     "transform_uv",
-    "sigma_z",
-    "sigma_x",
-    "sigma_plus",
-    "sigma_minus",
-    "HERMITICITY_TOL",
 ]
 
 #: Hermiticity budget for every Hamiltonian builder output (entrywise max).
@@ -195,19 +189,8 @@ def sigma_minus() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _annihilation(cutoff: int) -> np.ndarray:
+    """The annihilation operator a on ``cutoff`` motional levels: <n-1|a|n> = sqrt(n)."""
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-
-
-def ladder_matrix(basis: FockBasis) -> OperatorMatrix:
-    """The annihilation operator on the motional sector of ``basis``.
-
-    Matrix elements <n-1|a|n> = sqrt(n). The returned operator always lives in
-    the motional (spin_dim = 1) basis; builders tensor it with spin tiles as
-    needed.
-    """
-    if basis.cutoff < 2:
-        raise InvalidBasisError("ladder_matrix needs cutoff >= 2")
-    return OperatorMatrix(_annihilation(basis.cutoff), basis.motional())
 
 
 def _displacement_entries(gamma: complex, cutoff: int) -> np.ndarray:

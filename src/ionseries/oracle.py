@@ -26,11 +26,13 @@ __all__ = [
     "nearest_eigenpair",
     "cutoff_convergence",
     "validate_series_solution",
-    "DEGENERACY_TOL",
 ]
 
 #: Two eigenvalues closer than this are treated as one degenerate level.
 DEGENERACY_TOL = 1e-8
+
+#: An energy counts as an eigenvalue when the nearest one is closer than this.
+EIGEN_GAP_TOL = 1e-6
 
 
 @dataclass
@@ -65,7 +67,7 @@ class ConvergenceReport:
 class ValidationReport:
     """Outcome of checking one series solution against the diagonalization oracle.
 
-    ``passed`` requires all three gates: eigenvalue distance < 1e-6, Rayleigh
+    ``passed`` requires all three gates: eigenvalue distance < EIGEN_GAP_TOL, Rayleigh
     residual < 1e-7, and overlap with the (possibly degenerate) eigenspace
     > 0.999. ``inconclusive`` marks runs where the basis was too small to decide
     (tail mass of the reconstructed vector not negligible); such runs are not
@@ -121,6 +123,15 @@ def nearest_eigenpair(s: Spectrum, target: float) -> EigenPair:
     return EigenPair(value=float(w[idx]), vector=vector, gap_to_next=gap)
 
 
+def nearest_level(p: ModelParams, cutoff: int, target: float) -> float:
+    """The eigenvalue of the transformed Hamiltonian at ``cutoff`` nearest ``target``.
+
+    Values only: one ``eigvalsh``, no eigenvectors.
+    """
+    spec = hermitian_eigensystem(build_h_transformed(p, FockBasis(cutoff)))
+    return nearest_eigenpair(spec, target).value
+
+
 def cutoff_convergence(
     p: ModelParams, target: float, cutoffs: Sequence[int]
 ) -> ConvergenceReport:
@@ -136,9 +147,8 @@ def cutoff_convergence(
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
     estimates = []
     for cut in cutoffs:
-        spec = hermitian_eigensystem(build_h_transformed(p, FockBasis(cut)))
-        pair = nearest_eigenpair(spec, target)
-        estimates.append((cut, pair.value, abs(pair.value - target)))
+        value = nearest_level(p, cut, target)
+        estimates.append((cut, value, abs(value - target)))
     final_error = abs(estimates[-1][1] - estimates[-2][1])
     return ConvergenceReport(
         target_energy=float(target),
@@ -153,7 +163,7 @@ def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
 
     Reconstructs the solution as a Fock-space vector, then tests (i) that the
     transformed Hamiltonian at the solution's parameters has an eigenvalue
-    within 1e-6 of the solution energy, (ii) that the Rayleigh residual
+    within EIGEN_GAP_TOL of the solution energy, (ii) that the Rayleigh residual
     ||H v - E v|| is below 1e-7, and (iii) that the vector overlaps the matched
     eigenspace (all eigenvalues within the degeneracy tolerance of the nearest
     one) with norm > 0.999. A basis too small to represent the vector yields an
@@ -182,7 +192,7 @@ def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
     degenerate = np.abs(spec.eigenvalues - pair.value) < DEGENERACY_TOL
     subspace = spec.eigenvectors[:, degenerate]
     overlap = float(np.linalg.norm(subspace.conj().T @ v))
-    passed = bool(eigen_gap < 1e-6 and residual < 1e-7 and overlap > 0.999)
+    passed = bool(eigen_gap < EIGEN_GAP_TOL and residual < 1e-7 and overlap > 0.999)
     return ValidationReport(
         residual=residual, eigen_gap=float(eigen_gap), overlap=overlap, passed=passed
     )

@@ -27,11 +27,11 @@ from .model import (
     OperatorMatrix,
     _annihilation,
     _check_hermitian,
+    _require_spin2,
     sigma_minus,
     sigma_plus,
     sigma_z,
 )
-from .errors import BasisMismatchError
 
 __all__ = ["RwaQuery", "rwa_resonant_rabi", "rwa_energy", "rwa_hamiltonian"]
 
@@ -89,8 +89,7 @@ def rwa_hamiltonian(q: RwaQuery, eta: float, basis: FockBasis) -> OperatorMatrix
     excitation number, and its 2x2-sector eigenvalues reproduce rwa_energy for
     every doublet that fits below the cutoff.
     """
-    if basis.spin_dim != 2:
-        raise BasisMismatchError("rwa_hamiltonian requires spin_dim = 2")
+    _require_spin2(basis, "rwa_hamiltonian")
     if eta < 0:
         raise ValueError("eta must be >= 0")
     g = eta / 2.0

@@ -44,7 +44,8 @@ from .errors import (
     TruncationError,
 )
 from .model import FockBasis, ModelParams, _displacement_entries, derive_params
-from .states import StateVector
+from .oracle import EIGEN_GAP_TOL, nearest_level
+from .states import StateVector, _within_tail_budget
 
 __all__ = [
     "SeriesCoefficients",
@@ -76,10 +77,10 @@ def _at_pole(denominator: float, numerator: float) -> bool:
 
 
 def _norm_branch(branch) -> int:
-    """Normalize a branch designator to +1 or -1."""
-    if branch in (1, +1, "+", "plus"):
+    """Normalize 1, "+", "+1" or "plus" to +1, and their minus forms to -1."""
+    if branch in (1, "+", "+1", "plus"):
         return 1
-    if branch in (-1, "-", "minus"):
+    if branch in (-1, "-", "-1", "minus"):
         return -1
     raise ValueError(f"branch must be +1 or -1 (or '+'/'-'), got {branch!r}")
 
@@ -507,7 +508,8 @@ def terminate_general(
 
     ``guess`` is (rabi, eps, c0); without one, 8 heuristic seeds are tried.
     When ``validate`` is set, the solution's energy is checked to be an
-    eigenvalue of the transformed Hamiltonian (cutoff ``cutoff``) within 1e-6.
+    eigenvalue of the transformed Hamiltonian (cutoff ``cutoff``) within
+    EIGEN_GAP_TOL.
     Raises NoSolutionFoundError (with the per-start residual trace) if nothing
     converges; converged points with rabi < 0 are rejected as out of domain.
     """
@@ -600,14 +602,8 @@ def terminate_general(
         svals = np.linalg.svd(_fd_jacobian(residual_full, full), compute_uv=False)
         sol.jacobian_rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
         if validate:
-            from .oracle import hermitian_eigensystem, nearest_eigenpair
-            from .model import build_h_transformed
-
-            spec = hermitian_eigensystem(
-                build_h_transformed(sol.params, FockBasis(cutoff))
-            )
-            gap = abs(nearest_eigenpair(spec, sol.energy).value - sol.energy)
-            if gap > 1e-6:
+            gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
+            if gap > EIGEN_GAP_TOL:
                 trace[-1] = float("inf")
                 continue
             sol.oracle_gap = float(gap)
@@ -744,13 +740,7 @@ def series_to_fock(sol: SeriesSolution, basis: FockBasis) -> StateVector:
     amps = np.zeros(basis.dim, dtype=complex)
     amps[1::2] = D @ _bargmann_seed(sol.coeffs.b[:n_keep], z, basis.cutoff)
     amps[0::2] = D @ _bargmann_seed(sol.coeffs.c[:n_keep], z, basis.cutoff)
-    norm = np.linalg.norm(amps)
-    if norm == 0:
+    state = StateVector(amplitudes=amps, basis=basis)
+    if state.norm == 0:
         raise IonSeriesError("series solution mapped to the zero vector")
-    amps = amps / norm
-    tail = float(np.sum(np.abs(amps[-10 * basis.spin_dim :]) ** 2))
-    if tail > 1e-8:
-        raise TruncationError(
-            f"tail mass {tail:.3e} above the truncation budget at cutoff {basis.cutoff}"
-        )
-    return StateVector(amplitudes=amps, basis=basis, normalized=True)
+    return _within_tail_budget(state, f"order-{sol.order} series solution").normalize()

@@ -83,6 +83,17 @@ class StateVector:
         return float(np.sum(np.abs(v[-k:]) ** 2) / total)
 
 
+def _within_tail_budget(state: StateVector, what: str) -> StateVector:
+    """``state`` itself, or TruncationError when its tail mass exceeds TAIL_MASS_TOL."""
+    tail = state.tail_mass()
+    if tail > TAIL_MASS_TOL:
+        raise TruncationError(
+            f"{what} has tail mass {tail:.3e} at cutoff {state.basis.cutoff}; "
+            "increase the cutoff"
+        )
+    return state
+
+
 def _require_motional(basis: FockBasis, what: str) -> None:
     if basis.spin_dim != 1:
         raise BasisMismatchError(f"{what} requires a motional-only (spin_dim = 1) basis")
@@ -106,14 +117,8 @@ def coherent_state(gamma: complex, basis: FockBasis) -> StateVector:
     """
     _require_motional(basis, "coherent_state")
     a = _coherent_amplitudes(complex(gamma), basis.cutoff)
-    tail = float(np.sum(np.abs(a[-10:]) ** 2))
-    if tail > TAIL_MASS_TOL:
-        raise TruncationError(
-            f"coherent state |gamma|={abs(gamma):.3g} has tail mass {tail:.3e} "
-            f"at cutoff {basis.cutoff}; increase the cutoff"
-        )
-    a = a / np.linalg.norm(a)
-    return StateVector(amplitudes=a, basis=basis, normalized=True)
+    state = StateVector(amplitudes=a, basis=basis)
+    return _within_tail_budget(state, f"coherent state |gamma|={abs(gamma):.3g}").normalize()
 
 
 def cat_state(eta: float, basis: FockBasis) -> StateVector:
@@ -132,30 +137,21 @@ def cat_state(eta: float, basis: FockBasis) -> StateVector:
     g1 = 1j * eta
     direct = _coherent_amplitudes(g1, basis.cutoff)
     direct[0] += 1.0  # add the vacuum component
-    tail = float(np.sum(np.abs(direct[-10:]) ** 2) / np.sum(np.abs(direct) ** 2))
-    if tail > TAIL_MASS_TOL:
-        raise TruncationError(
-            f"cat state at eta={eta} has tail mass {tail:.3e} at cutoff "
-            f"{basis.cutoff}; increase the cutoff"
-        )
-    direct = direct / np.linalg.norm(direct)
+    state = StateVector(amplitudes=direct, basis=basis)
+    cat = _within_tail_budget(state, f"cat state at eta={eta}").normalize()
 
     half = 0.5j * eta
     pair = _coherent_amplitudes(half, basis.cutoff) + _coherent_amplitudes(-half, basis.cutoff)
     displaced = _displacement_entries(half, basis.cutoff) @ pair
     displaced = displaced / np.linalg.norm(displaced)
-    overlap = float(abs(np.vdot(displaced, direct)))
+    overlap = float(abs(np.vdot(displaced, cat.amplitudes)))
     if overlap < 1.0 - 1e-9:
         raise TruncationError(
             f"displaced-pair identity overlap {overlap!r} below 1 - 1e-9 at "
             f"cutoff {basis.cutoff}; increase the cutoff"
         )
-    return StateVector(
-        amplitudes=direct,
-        basis=basis,
-        normalized=True,
-        meta={"identity_overlap": overlap},
-    )
+    cat.meta["identity_overlap"] = overlap
+    return cat
 
 
 def fidelity(u: StateVector, v: StateVector) -> float:

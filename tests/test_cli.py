@@ -1,11 +1,25 @@
-"""Command-line interface: outputs, determinism, config precedence, exit codes."""
+"""Command-line interface: outputs, determinism, config precedence, exit codes,
+flags per subcommand and the argument types."""
 
+import argparse
 import json
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ionseries.cli import main
+from ionseries.cli import (
+    MAX_ETA_POINTS,
+    MAX_WIGNER_POINTS,
+    _branches,
+    _finite,
+    _grid,
+    _guess,
+    _range,
+    main,
+)
 
 
 def read(path):
@@ -327,3 +341,157 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("spelling", ["+1,-1", "plus", "-,+", "minus, plus"])
+    def test_branch_spellings(self, tmp_path, spelling):
+        out = tmp_path / "s.json"
+        # the = form, since argparse reads a separate "-,+" as an option
+        assert main(["solve", "--order", "1", "--eta", "0.2", f"--branch={spelling}",
+                     "--out", str(out)]) == 0
+        branches = [s["branch"] for s in json.loads(read(out))["solutions"]]
+        assert set(branches) == ({"+"} if spelling == "plus" else {"+", "-"})
+
+    def test_cutoff_env_does_not_reach_fig(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("IONTRAP_CUTOFF", "30")
+        assert main(["fig", "--omega", "0.5", "--eta", "0:0.2:0.1",
+                     "--out", str(tmp_path / "f.csv")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--order", "1", "--eta", "0.2", "--format", "json"],
+            ["fig", "--omega", "0.5", "--cutoff", "100"],
+            ["validate", "--suite", "rwa", "--eta", "0.3"],
+            ["cat", "--eta", "0.5", "--format", "json"],
+            ["oracle", "--omega", "0.5", "--eta", "0.1", "--format", "json"],
+        ],
+        ids=["solve-format", "fig-cutoff", "validate-eta", "cat-format", "oracle-format"],
+    )
+    def test_unread_flags_are_usage_errors(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig", "--omega", "nan"],
+            ["fig", "--omega", "inf", "--eta", "0:0.1:0.1"],
+            ["oracle", "--omega", "0.5", "--eta", "0.1", "--target", "nan"],
+            ["oracle", "--omega", "0.5", "--eta", "0.1", "--detuning", "-inf"],
+            ["solve", "--order", "1", "--eta", "0.2", "--detuning", "nan"],
+            ["validate", "--suite", "oracle", "--perturb-energy", "nan"],
+            ["validate", "--suite", "eq13", "--grid", "0x5"],
+            ["fig", "--omega", "0.5", "--eta", "0:1:1e-5"],
+            ["cat", "--eta", "0.5", "--wigner=-1:1:0.01"],
+        ],
+        ids=["omega-nan", "omega-inf", "target-nan", "detuning-inf", "solve-detuning-nan",
+             "perturb-nan", "grid-0x5", "eta-over-cap", "wigner-over-cap"],
+    )
+    def test_rejected_before_running(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+# number-like strings, including the non-finite and out-of-range spellings
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "1e-320", "", " ", "x", "-0", "1_0"]),
+)
+
+
+def joined(sep, max_size):
+    return st.lists(NUMBERS, min_size=1, max_size=max_size).map(sep.join)
+
+
+class TestArgumentTypes:
+    """Every string either parses to finite values inside the flag's bounds or
+    raises ArgumentTypeError. Caps are tested on the type functions alone, so
+    no oversized range is ever built."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=20), joined(":", 4)),
+           st.sampled_from([MAX_ETA_POINTS, MAX_WIGNER_POINTS]))
+    def test_range(self, text, cap):
+        try:
+            points = _range(cap)(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert 1 <= len(points) <= cap
+        assert all(math.isfinite(p) for p in points)
+        assert points == sorted(points)
+        assert float(text.split(":")[0]) == points[0]
+
+    @pytest.mark.parametrize(
+        "cap, text, points",
+        [
+            (MAX_ETA_POINTS, "0:1:0.01", 101),
+            (MAX_ETA_POINTS, "0:1:1e-4", MAX_ETA_POINTS),
+            (MAX_WIGNER_POINTS, "-2:2:0.05", 81),
+            (MAX_WIGNER_POINTS, "0:1:0.01", MAX_WIGNER_POINTS),
+            (MAX_WIGNER_POINTS, "0.5", 1),
+        ],
+    )
+    def test_range_accepts_up_to_the_cap(self, cap, text, points):
+        assert len(_range(cap)(text)) == points
+
+    @pytest.mark.parametrize(
+        "cap, text",
+        [
+            (MAX_ETA_POINTS, "0:1:1e-9"),
+            (MAX_ETA_POINTS, "0:1.0001:1e-4"),
+            (MAX_WIGNER_POINTS, "0:1:1e-9"),
+            (MAX_WIGNER_POINTS, "0:1.01:0.01"),
+            # under the cap by step ratio, but max snaps to the 102nd point
+            (MAX_WIGNER_POINTS, "0:1.00999999999:0.01"),
+            (MAX_ETA_POINTS, "-1e308:1e308:1"),
+            (MAX_ETA_POINTS, "0:1:5e-324"),
+        ],
+    )
+    def test_range_rejects_beyond_the_cap(self, cap, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+            _range(cap)(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=12), st.tuples(
+        st.integers(-5, 10**12), st.integers(-5, 10**12)).map(lambda t: f"{t[0]}x{t[1]}")))
+    def test_grid(self, text):
+        try:
+            grid = _grid(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert len(grid) == 2 and all(isinstance(n, int) and n >= 1 for n in grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=12), st.lists(st.sampled_from(
+        ["+", "-", "+1", "-1", "plus", "minus", " + ", "1", "0", "", "x"]), min_size=1,
+        max_size=4).map(",".join)))
+    def test_branches(self, text):
+        try:
+            branches = _branches(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert branches and set(branches) <= {1, -1}
+        assert len(set(branches)) == len(branches)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=20), joined(",", 4)))
+    def test_guess(self, text):
+        try:
+            guess = _guess(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert len(guess) == 3 and all(math.isfinite(v) for v in guess)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=20), NUMBERS))
+    def test_finite(self, text):
+        try:
+            value = _finite(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert isinstance(value, float) and math.isfinite(value)

@@ -10,11 +10,11 @@ from ionseries.model import (
     FockBasis,
     ModelParams,
     OperatorMatrix,
+    _annihilation,
     build_h_lab,
     build_h_transformed,
     derive_params,
     displacement_matrix,
-    ladder_matrix,
     sigma_minus,
     sigma_plus,
     sigma_x,
@@ -80,13 +80,13 @@ class TestSpinTiles:
 
 class TestLadder:
     def test_entries_are_sqrt_n_on_superdiagonal(self):
-        a = ladder_matrix(FockBasis(cutoff=5, spin_dim=1)).entries
+        a = _annihilation(5)
         for n in range(1, 5):
             assert a[n - 1, n] == pytest.approx(math.sqrt(n), abs=0.0)
         assert np.count_nonzero(a) == 4
 
     def test_number_operator_diagonal(self):
-        a = ladder_matrix(FockBasis(cutoff=6, spin_dim=1)).entries
+        a = _annihilation(6)
         num = a.T @ a
         assert np.allclose(num, np.diag(np.arange(6.0)), atol=1e-14)
 
