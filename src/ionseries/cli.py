@@ -64,11 +64,17 @@ from .states import cat_state, coherent_state, fidelity, parity, wigner_grid
 
 DEFAULT_CUTOFF = 150
 MIN_CUTOFF = 60
+#: Largest --cutoff: the dense H_I is (2 * cutoff)^2 float64, 128 MB at 2000,
+#: and its O(cutoff^3) eigensolve takes about 8x the ~3 s it takes at 1000.
+MAX_CUTOFF = 2000
 #: Most points an --eta range may hold (the default fig sweep has 101).
 MAX_ETA_POINTS = 10_001
-#: Most points per axis of a --wigner range. The Wigner recurrence holds about
-#: 64 * cutoff bytes per grid point, so 101 x 101 points at cutoff 150 is ~100 MB.
+#: Most points per axis of a --wigner range. The CSV sidecar takes about 27
+#: bytes per grid point, so the cap holds it near 280 kB (101 x 101 points).
 MAX_WIGNER_POINTS = 101
+#: Largest side of a --grid: each cell solves both branches in Python, about
+#: 20 us, so 1001 x 1001 cells already take about 20 s.
+MAX_GRID_SIDE = 1001
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -140,7 +146,9 @@ def _range(max_points: int):
             raise argparse.ArgumentTypeError(f"step must be > 0, got {step}")
         if not (lo <= hi):
             raise argparse.ArgumentTypeError(f"range must have min <= max, got {lo} > {hi}")
-        too_many = argparse.ArgumentTypeError(f"range {text!r} has more than {max_points} points")
+        too_many = argparse.ArgumentTypeError(
+            f"range {text!r} has more than {max_points} point{'s' if max_points > 1 else ''}"
+        )
         if not (hi - lo) / step < max_points:  # also keeps round() below off inf
             raise too_many
         n = int(round((hi - lo) / step))
@@ -153,13 +161,15 @@ def _range(max_points: int):
     return points
 
 
-def _int_at_least(minimum: int):
-    """argparse type of an integer >= ``minimum``."""
+def _int_in(minimum: int, maximum: Optional[int] = None):
+    """argparse type of an integer >= ``minimum`` and, if given, <= ``maximum``."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return integer
@@ -182,7 +192,7 @@ def _guess(text: str) -> Tuple[float, float, float]:
 
 
 def _grid(text: str) -> Tuple[int, int]:
-    """argparse type of --grid: two integers >= 1 written like 50x50."""
+    """argparse type of --grid: two integers in [1, MAX_GRID_SIDE] written like 50x50."""
     try:
         a, b = text.lower().split("x")
         grid = (int(a), int(b))
@@ -190,6 +200,8 @@ def _grid(text: str) -> Tuple[int, int]:
         raise argparse.ArgumentTypeError(f"must look like 50x50, got {text!r}") from None
     if min(grid) < 1:
         raise argparse.ArgumentTypeError(f"both sizes must be >= 1, got {text!r}")
+    if max(grid) > MAX_GRID_SIDE:
+        raise argparse.ArgumentTypeError(f"both sizes must be <= {MAX_GRID_SIDE}, got {text!r}")
     return grid
 
 
@@ -695,19 +707,20 @@ def _build_parser() -> argparse.ArgumentParser:
     def cutoff(sp):
         sp.add_argument(
             "--cutoff",
-            type=_int_at_least(MIN_CUTOFF),
+            type=_int_in(MIN_CUTOFF, MAX_CUTOFF),
             default=os.environ.get("IONTRAP_CUTOFF", str(DEFAULT_CUTOFF)),
-            help=f"basis cutoff (>= {MIN_CUTOFF}; default $IONTRAP_CUTOFF or {DEFAULT_CUTOFF})",
+            help=f"basis cutoff ({MIN_CUTOFF} to {MAX_CUTOFF}; "
+            f"default $IONTRAP_CUTOFF or {DEFAULT_CUTOFF})",
         )
 
-    def eta(sp, default=None):
+    def eta(sp, default=None, max_points=1):
         sp.add_argument(
-            "--eta", type=_range(MAX_ETA_POINTS), default=default,
-            help="eta value or min:max:step range",
+            "--eta", type=_range(max_points), default=default,
+            help="eta value or min:max:step range" if max_points > 1 else "eta value",
         )
 
     sp = subcommand("fig", run_figure, "emit comparison curve family over an eta sweep")
-    eta(sp, "0:1:0.01")
+    eta(sp, "0:1:0.01", MAX_ETA_POINTS)
     sp.add_argument("--format", choices=("csv", "json"), default=None)
     sp.add_argument("--omega", type=_finite, default=None, help="rabi frequency for the sweep")
 
@@ -745,7 +758,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eta(sp)
     sp.add_argument("--omega", type=_finite, default=None, help="rabi frequency")
     sp.add_argument("--detuning", type=_finite, default=0.0)
-    sp.add_argument("--count", type=_int_at_least(1), default=20, help="how many eigenvalues to list")
+    sp.add_argument("--count", type=_int_in(1), default=20, help="how many eigenvalues to list")
     sp.add_argument("--target", type=_finite, default=None, help="report nearest eigenvalue")
 
     return parser

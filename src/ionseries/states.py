@@ -29,6 +29,10 @@ __all__ = [
 #: Maximum allowed probability mass in the top ten Fock levels.
 TAIL_MASS_TOL = 1e-8
 
+#: Bytes of each of wigner_grid's four (cutoff, tile) recurrence buffers:
+#: 256 KiB makes 109-point tiles at cutoff 150, and all four fit a 2 MiB L2.
+_TILE_BYTES = 256 * 1024
+
 
 @dataclass
 class StateVector:
@@ -183,10 +187,14 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     position xs[j]. Integrates to ~1 (dx dp measure) over a grid that contains
     the state's support.
 
-    The displaced amplitudes are generated for all grid points at once by the
-    column recurrence D(g)|j> = (a^dag - conj(g)) D(g)|j-1> / sqrt(j), seeded
-    with the coherent column D(g)|0>, accumulating only the Fock components
-    where v has support.
+    The displaced amplitudes come from the column recurrence
+    D(g)|j> = (a^dag - conj(g)) D(g)|j-1> / sqrt(j), seeded with the coherent
+    column D(g)|0>, accumulating only the Fock components where v has support.
+    Grid points are taken in tiles of max(1, _TILE_BYTES // (16 * cutoff))
+    points: the whole recurrence and the parity sum run on one tile before the
+    next, so the four (cutoff, tile) buffers stay in cache and memory does not
+    grow with the grid. Each grid point gets the same arithmetic whatever the
+    tile, so W does not depend on the tile width.
     """
     _require_motional(v.basis, "wigner_grid")
     xs = np.asarray(xs, dtype=float)
@@ -203,34 +211,41 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     alpha = (xs[None, :] + 1j * ps[:, None]).ravel()  # grid points, row-major
     gamma = -alpha
     G = gamma.size
+    tile = min(G, max(1, _TILE_BYTES // (16 * cutoff)))
 
-    # Row n of ``col`` holds <n|D(gamma)|j> for every grid point: shape
-    # (cutoff, G), so each recurrence step works on contiguous rows in place.
-    col = np.empty((cutoff, G), dtype=complex)
-    col[0] = np.exp(-0.5 * np.abs(gamma) ** 2)
-    for n in range(1, cutoff):
-        col[n] = col[n - 1] * gamma / math.sqrt(n)
-
-    u = amps[0] * col  # accumulate sum_j v_j * D(gamma)|j>
-    gconj = np.conj(gamma)
-    neg_gconj = -gconj
     root_n = np.sqrt(np.arange(1, cutoff))[:, None]
-    nxt = np.empty_like(col)
-    tmp = np.empty_like(col)
-    for j in range(1, j_max + 1):
-        np.multiply(neg_gconj, col[0], out=nxt[0])
-        np.multiply(root_n, col[:-1], out=nxt[1:])
-        np.multiply(gconj, col[1:], out=tmp[1:])
-        np.subtract(nxt[1:], tmp[1:], out=nxt[1:])
-        np.divide(nxt, math.sqrt(j), out=col)
-        if amps[j] != 0:
-            np.multiply(amps[j], col, out=tmp)
-            u += tmp
-
-    # Back to (G, cutoff), C-contiguous, so the sum reduces in the same order.
-    # The recurrence buffers go first, so the copy does not raise peak memory.
-    del col, nxt, tmp
-    u = np.ascontiguousarray(u.T)
     signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
-    W = (2.0 / math.pi) * (signs[None, :] * np.abs(u) ** 2).sum(axis=1)
+    bufs = [np.empty((cutoff, tile), dtype=complex) for _ in range(4)]
+    W = np.empty(G)
+    for start in range(0, G, tile):
+        g = gamma[start:start + tile]
+        # Row n of ``col`` holds <n|D(g)|j> for every point of the tile, so
+        # each recurrence step works on contiguous rows in place.
+        col, nxt, tmp, u = (b[:, :g.size] for b in bufs)
+        # Float views (re, im interleaved) for the sums, the differences and
+        # the scalings by a real factor. numpy divides by c + 0j as
+        # (re + im*0) * (1/c), so the bytes match complex arithmetic up to
+        # signed zeros, which |u|^2 erases.
+        colf, nxtf, tmpf, uf = (b.view(float) for b in (col, nxt, tmp, u))
+        col[0] = np.exp(-0.5 * np.abs(g) ** 2)
+        for n in range(1, cutoff):
+            col[n] = col[n - 1] * g / math.sqrt(n)
+
+        np.multiply(amps[0], col, out=u)  # accumulate sum_j v_j * D(g)|j>
+        gconj = np.conj(g)
+        neg_gconj = -gconj
+        for j in range(1, j_max + 1):
+            np.multiply(neg_gconj, col[0], out=nxt[0])
+            np.multiply(root_n, colf[:-1], out=nxtf[1:])
+            np.multiply(gconj, col[1:], out=tmp[1:])
+            np.subtract(nxtf[1:], tmpf[1:], out=nxtf[1:])
+            np.multiply(nxtf, 1.0 / math.sqrt(j), out=colf)
+            if amps[j] != 0:
+                np.multiply(amps[j], col, out=tmp)
+                uf += tmpf
+
+        # Each point's levels contiguous, so the sum reduces in the same
+        # (pairwise) order for every tile width.
+        u = np.ascontiguousarray(u.T)
+        W[start:start + g.size] = (2.0 / math.pi) * (signs[None, :] * np.abs(u) ** 2).sum(axis=1)
     return W.reshape(ps.size, xs.size)

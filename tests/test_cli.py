@@ -11,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionseries.cli import (
+    MAX_CUTOFF,
     MAX_ETA_POINTS,
+    MAX_GRID_SIDE,
     MAX_WIGNER_POINTS,
+    MIN_CUTOFF,
     _branches,
+    _build_parser,
     _finite,
     _grid,
     _guess,
+    _int_in,
     _range,
     main,
 )
@@ -384,9 +389,14 @@ class TestFlagsPerSubcommand:
             ["validate", "--suite", "eq13", "--grid", "0x5"],
             ["fig", "--omega", "0.5", "--eta", "0:1:1e-5"],
             ["cat", "--eta", "0.5", "--wigner=-1:1:0.01"],
+            ["oracle", "--omega", "0.5", "--eta", "0.1:0.5:0.1", "--count", "1"],
+            ["solve", "--order", "1", "--eta", "0.1:0.3:0.1"],
+            ["cat", "--eta", "0.2:0.3:0.1"],
+            ["validate", "--suite", "eq13", "--grid", f"{MAX_GRID_SIDE + 1}x1"],
         ],
         ids=["omega-nan", "omega-inf", "target-nan", "detuning-inf", "solve-detuning-nan",
-             "perturb-nan", "grid-0x5", "eta-over-cap", "wigner-over-cap"],
+             "perturb-nan", "grid-0x5", "eta-over-cap", "wigner-over-cap",
+             "oracle-eta-range", "solve-eta-range", "cat-eta-range", "grid-over-cap"],
     )
     def test_rejected_before_running(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
@@ -394,6 +404,13 @@ class TestFlagsPerSubcommand:
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["oracle", "--omega", "0.5", "--count", "1"], ["cat"]])
+    def test_one_point_eta_range_is_its_value(self, tmp_path, command):
+        ranged, single = tmp_path / "ranged.json", tmp_path / "single.json"
+        assert main([*command, "--eta", "0.5:0.5:0.1", "--out", str(ranged)]) == 0
+        assert main([*command, "--eta", "0.5", "--out", str(single)]) == 0
+        assert read(ranged) == read(single)
 
 
 # number-like strings, including the non-finite and out-of-range spellings
@@ -415,7 +432,7 @@ class TestArgumentTypes:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=20), joined(":", 4)),
-           st.sampled_from([MAX_ETA_POINTS, MAX_WIGNER_POINTS]))
+           st.sampled_from([1, MAX_ETA_POINTS, MAX_WIGNER_POINTS]))
     def test_range(self, text, cap):
         try:
             points = _range(cap)(text)
@@ -434,6 +451,8 @@ class TestArgumentTypes:
             (MAX_WIGNER_POINTS, "-2:2:0.05", 81),
             (MAX_WIGNER_POINTS, "0:1:0.01", MAX_WIGNER_POINTS),
             (MAX_WIGNER_POINTS, "0.5", 1),
+            (1, "0.5", 1),
+            (1, "0.5:0.5:0.1", 1),
         ],
     )
     def test_range_accepts_up_to_the_cap(self, cap, text, points):
@@ -450,6 +469,8 @@ class TestArgumentTypes:
             (MAX_WIGNER_POINTS, "0:1.00999999999:0.01"),
             (MAX_ETA_POINTS, "-1e308:1e308:1"),
             (MAX_ETA_POINTS, "0:1:5e-324"),
+            (1, "0.1:0.5:0.1"),
+            (1, "0:0.1:0.1"),
         ],
     )
     def test_range_rejects_beyond_the_cap(self, cap, text):
@@ -464,7 +485,53 @@ class TestArgumentTypes:
             grid = _grid(text)
         except argparse.ArgumentTypeError:
             return
-        assert len(grid) == 2 and all(isinstance(n, int) and n >= 1 for n in grid)
+        assert len(grid) == 2 and all(isinstance(n, int) and 1 <= n <= MAX_GRID_SIDE for n in grid)
+
+    @pytest.mark.parametrize("text, grid", [("1x1", (1, 1)),
+                                            (f"{MAX_GRID_SIDE}x1", (MAX_GRID_SIDE, 1)),
+                                            (f"1X{MAX_GRID_SIDE}", (1, MAX_GRID_SIDE))])
+    def test_grid_accepts_up_to_the_cap(self, text, grid):
+        assert _grid(text) == grid
+
+    @pytest.mark.parametrize("text", [f"{MAX_GRID_SIDE + 1}x1", f"1x{MAX_GRID_SIDE + 1}",
+                                      "1000000000x1"])
+    def test_grid_rejects_beyond_the_cap(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"<= {MAX_GRID_SIDE}"):
+            _grid(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=12), st.integers(-10, 10**7).map(str)))
+    def test_cutoff(self, text):
+        try:
+            cutoff = _int_in(MIN_CUTOFF, MAX_CUTOFF)(text)
+        except (argparse.ArgumentTypeError, ValueError):  # argparse reports both
+            return
+        assert MIN_CUTOFF <= cutoff <= MAX_CUTOFF
+
+    @pytest.mark.parametrize("text, ok", [(str(MIN_CUTOFF), True), (str(MAX_CUTOFF), True),
+                                          (str(MIN_CUTOFF - 1), False),
+                                          (str(MAX_CUTOFF + 1), False), ("100000", False)])
+    def test_cutoff_edges(self, text, ok):
+        if ok:
+            assert _int_in(MIN_CUTOFF, MAX_CUTOFF)(text) == int(text)
+        else:
+            with pytest.raises(argparse.ArgumentTypeError):
+                _int_in(MIN_CUTOFF, MAX_CUTOFF)(text)
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_cutoff_cap_is_a_usage_error(self, monkeypatch, capsys, source):
+        """Parsed only: an over-cap cutoff must never reach a command."""
+        argv = ["oracle", "--omega", "0.5", "--eta", "0.1"]
+        if source == "flag":
+            argv += ["--cutoff", str(MAX_CUTOFF + 1)]
+        else:
+            monkeypatch.setenv("IONTRAP_CUTOFF", str(MAX_CUTOFF + 1))
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert f"<= {MAX_CUTOFF}" in err
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=12), st.lists(st.sampled_from(

@@ -11,9 +11,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ionseries import model, series, states
 from ionseries.model import FockBasis, ModelParams, build_h_transformed, derive_params
@@ -199,6 +201,42 @@ class TestColumnMajorWigner:
             assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes()
         single = wigner_grid(vs[0], np.array([0.0]), np.array([0.0]))
         assert single.tobytes() == row_major_wigner(vs[0], np.array([0.0]), np.array([0.0])).tobytes()
+
+    @pytest.mark.parametrize("cutoff", [40, 150, 400])
+    def test_tiles_match_row_major_bytes(self, cutoff):
+        basis = FockBasis(cutoff=cutoff, spin_dim=1)
+        tile = max(1, states._TILE_BYTES // (16 * cutoff))
+        rng = np.random.default_rng(cutoff)
+        gapped = np.zeros(cutoff, dtype=complex)
+        gapped[:20] = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        gapped[[0, 4, 9, 10, 17]] = 0.0  # zeros inside the support, the first included
+        vs = [cat_state(1.7, basis), StateVector(gapped, basis)]
+
+        def axis(n):  # n points over [-3, 3] with 0.0 and -0.0 among them once n > 2
+            a = np.linspace(-3.0, 3.0, n)
+            if n > 2:
+                a[1], a[-2] = 0.0, -0.0
+            return a
+
+        # one point, fewer points than a tile, two whole tiles, two tiles plus one
+        shapes = [(1, 1), (1, tile - 1), (2, tile), (1, 2 * tile + 1), (3, 5)]
+        for v in vs:
+            for n_p, n_x in shapes:
+                xs, ps = axis(n_x), -axis(n_p)
+                W = wigner_grid(v, xs, ps)
+                assert W.shape == (n_p, n_x)
+                assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes(), (cutoff, n_p, n_x)
+
+    def test_peak_memory_is_tile_bound(self):
+        v = cat_state(1.5, FockBasis(cutoff=150, spin_dim=1))
+        axis = np.linspace(-5.0, 5.0, 101)
+        tracemalloc.start()
+        try:
+            wigner_grid(v, axis, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 def test_cli_import_leaves_scipy_unloaded():
