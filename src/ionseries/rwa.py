@@ -28,9 +28,7 @@ from .model import (
     _annihilation,
     _check_hermitian,
     _require_spin2,
-    sigma_minus,
-    sigma_plus,
-    sigma_z,
+    _spin_blocks,
 )
 
 __all__ = ["RwaQuery", "rwa_resonant_rabi", "rwa_energy", "rwa_hamiltonian"]
@@ -92,19 +90,18 @@ def rwa_hamiltonian(q: RwaQuery, eta: float, basis: FockBasis) -> OperatorMatrix
     _require_spin2(basis, "rwa_hamiltonian")
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    g = eta / 2.0
+    g = 0.0 + eta / 2.0  # eta = -0.0 stores +0.0 couplings
     cutoff = basis.cutoff
     a = _annihilation(cutoff)
-    adag = a.T.conj()
-    eye_m = np.eye(cutoff)
-    coupling = g * (np.kron(adag, sigma_minus()) + np.kron(a, sigma_plus()))
+    shift = g * g * np.eye(cutoff)
     if q.scheme == "M":
         w = 1.0 - 2.0 ** (-q.index)
-        H = np.kron(w * (adag @ a), np.eye(2)) + coupling + g * g * np.eye(basis.dim)
+        down = up = w * (a.T @ a) + shift
     else:
-        rabi = rwa_resonant_rabi(q)
-        coeff = (q.index - 1.0) / (2.0 * q.index) * rabi
-        H = np.kron(eye_m, coeff * sigma_z()) + coupling + g * g * np.eye(basis.dim)
+        level = (q.index - 1.0) / (2.0 * q.index) * rwa_resonant_rabi(q) * np.eye(cutoff)
+        down, up = shift - level, shift + level
+    # g (a^dag sigma_- + a sigma_+): sigma_- = |down><up|, sigma_+ = |up><down|
+    H = _spin_blocks(down, g * a.T, g * a, up)
     _check_hermitian(H, "rwa_hamiltonian")
     return OperatorMatrix(
         entries=H,

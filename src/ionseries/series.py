@@ -464,17 +464,23 @@ _HEURISTIC_SEEDS = (
     (2.0, -0.1, -0.8),
 )
 
+#: Convergence bound on max|F|, minimum step norm and iteration cap of each start.
+_TOL = 1e-10
+_STEP_TOL = 1e-12
+_MAX_ITER = 200
 
-def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian of the 3-residual ``f``, one column per entry of x."""
-    J = np.empty((3, len(x)))
-    for k in range(len(x)):
+
+def _fd_jacobian(f, x: np.ndarray, free) -> np.ndarray:
+    """Central finite-difference Jacobian of the 3-residual ``f`` in the ``free`` entries of x."""
+    columns = np.flatnonzero(free)
+    J = np.empty((3, columns.size))
+    for j, k in enumerate(columns):
         h = 1e-7 * max(1.0, abs(x[k]))
         xp = x.copy()
         xm = x.copy()
         xp[k] += h
         xm[k] -= h
-        J[:, k] = (f(xp) - f(xm)) / (2.0 * h)
+        J[:, j] = (f(xp) - f(xm)) / (2.0 * h)
     return J
 
 
@@ -485,31 +491,25 @@ def terminate_general(
     guess: Optional[Tuple[float, float, float]] = None,
     *,
     fix: Optional[str] = None,
-    tol: float = 1e-10,
-    step_tol: float = 1e-12,
-    max_iter: int = 200,
-    n_starts: int = 8,
-    seed: int = 0,
-    validate: bool = True,
     cutoff: int = 150,
 ) -> SeriesSolution:
     """Numerically terminate the series at a given order.
 
     Finds (rabi, eps, c0) such that generating the coefficients with
     E = order + branch*eps and z = branch*g makes the residual vector
-    (b_{N+1}, c_{N+1}, c_N - branch*b_N) vanish in max-norm below ``tol``.
+    (b_{N+1}, c_{N+1}, c_N - branch*b_N) vanish in max-norm below 1e-10.
 
     The residual system has rank 2, so at fixed lamb_dicke the solutions form
-    one-dimensional curves; the default (damped Gauss-Newton with minimum-norm
-    least-squares steps and finite-difference Jacobians) converges to the
+    one-dimensional curves; damped Gauss-Newton with minimum-norm
+    least-squares steps and finite-difference Jacobians converges to the
     nearest manifold point. Pass ``fix="eps"`` or ``fix="rabi"`` to pin that
     parameter at its value in ``guess`` and recover the isolated point the
     closed forms parametrize (needed for exact anchor recovery).
 
-    ``guess`` is (rabi, eps, c0); without one, 8 heuristic seeds are tried.
-    When ``validate`` is set, the solution's energy is checked to be an
-    eigenvalue of the transformed Hamiltonian (cutoff ``cutoff``) within
-    EIGEN_GAP_TOL.
+    ``guess`` is (rabi, eps, c0), tried first and then from 7 seeded jitters
+    of itself; without one, 8 heuristic seeds are tried. The solution's energy
+    is checked to be an eigenvalue of the transformed Hamiltonian (cutoff
+    ``cutoff``) within EIGEN_GAP_TOL.
     Raises NoSolutionFoundError (with the per-start residual trace) if nothing
     converges; converged points with rabi < 0 are rejected as out of domain.
     """
@@ -523,75 +523,53 @@ def terminate_general(
     if fix is not None and guess is None:
         raise ValueError("fix requires an explicit guess supplying the pinned value")
     g = eta / 2.0
+    free = np.array([fix != "rabi", fix != "eps", True])  # over (rabi, eps, c0)
 
-    def residual_full(x: np.ndarray) -> np.ndarray:
+    def residual(x: np.ndarray) -> np.ndarray:
         rabi, eps, c0 = x
-        E = order + branch * eps
-        b, c = _raw_recurrence(E, branch * g, rabi, g, eps, c0, order + 1)
-        return np.array(
-            [b[order + 1], c[order + 1], c[order] - branch * b[order]]
-        )
+        b, c = _raw_recurrence(order + branch * eps, branch * g, rabi, g, eps, c0, order + 1)
+        return np.array([b[order + 1], c[order + 1], c[order] - branch * b[order]])
 
-    if fix == "eps":
-        pinned_index, free_index = 1, (0, 2)
-    elif fix == "rabi":
-        pinned_index, free_index = 0, (1, 2)
-    else:
-        pinned_index, free_index = None, (0, 1, 2)
-
-    def embed(xfree: np.ndarray, pinned_value: float) -> np.ndarray:
-        full = np.empty(3)
-        if pinned_index is not None:
-            full[pinned_index] = pinned_value
-        full[list(free_index)] = xfree
-        return full
-
-    rng = np.random.default_rng(seed)
     if guess is not None:
         base = np.asarray(guess, dtype=float)
-        starts = [base]
-        for _ in range(max(0, n_starts - 1)):
-            starts.append(base * (1.0 + 0.02 * rng.standard_normal(3)) + 0.01 * rng.standard_normal(3))
+        rng = np.random.default_rng(0)
+        starts = [base] + [
+            base * (1.0 + 0.02 * rng.standard_normal(3)) + 0.01 * rng.standard_normal(3)
+            for _ in range(len(_HEURISTIC_SEEDS) - 1)
+        ]
     else:
         # the minus branch's manifold mirrors the plus one in eps
         starts = [np.array([s[0], branch * s[1], s[2]]) for s in _HEURISTIC_SEEDS]
-        starts = starts[:n_starts]
 
     trace = []
     for start in starts:
-        pinned_value = float(start[pinned_index]) if pinned_index is not None else 0.0
-        x = np.asarray(start, dtype=float)[list(free_index)]
-        F = residual_full(embed(x, pinned_value))
+        x = np.array(start, dtype=float)
+        F = residual(x)
         norm = np.linalg.norm(F)
-        converged = False
-        for _ in range(max_iter):
-            if np.max(np.abs(F)) < tol:
-                converged = True
+        for _ in range(_MAX_ITER):
+            if np.max(np.abs(F)) < _TOL:
                 break
-            J = _fd_jacobian(lambda xf: residual_full(embed(xf, pinned_value)), x)
-            step = np.linalg.lstsq(J, -F, rcond=None)[0]
+            step = np.linalg.lstsq(_fd_jacobian(residual, x, free), -F, rcond=None)[0]
             if not np.all(np.isfinite(step)):
                 break
             lam = 1.0
-            improved = False
             for _ in range(30):
-                x_new = x + lam * step
-                F_new = residual_full(embed(x_new, pinned_value))
+                x_new = x.copy()
+                x_new[free] += lam * step
+                F_new = residual(x_new)
                 norm_new = np.linalg.norm(F_new)
                 if np.isfinite(norm_new) and norm_new < norm:
                     x, F, norm = x_new, F_new, norm_new
-                    improved = True
                     break
                 lam *= 0.5
-            if not improved or np.linalg.norm(lam * step) < step_tol:
+            else:
+                break  # no damped step improved the residual
+            if np.linalg.norm(lam * step) < _STEP_TOL:
                 break
-        if np.max(np.abs(F)) < tol:
-            converged = True
         trace.append(float(np.max(np.abs(F))))
-        if not converged:
+        if trace[-1] >= _TOL:
             continue
-        full = embed(x, pinned_value)
-        rabi, eps, c0 = (float(full[0]), float(full[1]), float(full[2]))
+        rabi, eps, c0 = (float(v) for v in x)
         if rabi < 0:
             trace[-1] = float("inf")  # out-of-domain convergence point
             continue
@@ -599,14 +577,13 @@ def terminate_general(
         # Rank of the full residual Jacobian at the converged point: 2, because
         # one linear dependency ties the three residuals together on the
         # manifold, leaving a one-dimensional solution curve in (rabi, eps, c0).
-        svals = np.linalg.svd(_fd_jacobian(residual_full, full), compute_uv=False)
+        svals = np.linalg.svd(_fd_jacobian(residual, x, [True] * 3), compute_uv=False)
         sol.jacobian_rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
-        if validate:
-            gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
-            if gap > EIGEN_GAP_TOL:
-                trace[-1] = float("inf")
-                continue
-            sol.oracle_gap = float(gap)
+        gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
+        if gap > EIGEN_GAP_TOL:
+            trace[-1] = float("inf")
+            continue
+        sol.oracle_gap = float(gap)
         return sol
     raise NoSolutionFoundError(
         f"no order-{order} termination point found for branch {branch:+d}, "

@@ -229,7 +229,8 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         colf, nxtf, tmpf, uf = (b.view(float) for b in (col, nxt, tmp, u))
         col[0] = np.exp(-0.5 * np.abs(g) ** 2)
         for n in range(1, cutoff):
-            col[n] = col[n - 1] * g / math.sqrt(n)
+            np.multiply(col[n - 1], g, out=col[n])
+            colf[n] *= 1.0 / math.sqrt(n)
 
         np.multiply(amps[0], col, out=u)  # accumulate sum_j v_j * D(g)|j>
         gconj = np.conj(g)

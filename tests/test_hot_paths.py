@@ -1,10 +1,11 @@
 """Byte identity of the fast hot paths against the straightforward forms they replace.
 
 Each reference below is the plain construction the library used before its
-hot path was rewritten: the Kronecker sum for H_I, the ndarray recurrence, one
-displacement per spin component, and the (grid point, Fock level) Wigner
-layout. CLI output is pinned digit for digit, so the fast paths must store
-the same bits, signed zeros included, not merely agree within a tolerance.
+hot path was rewritten: the Kronecker sums for H_I, H_lab and the
+rotating-wave Hamiltonians, the ndarray recurrence, one displacement per spin
+component, and the (grid point, Fock level) Wigner layout. CLI output is
+pinned digit for digit, so the fast paths must store the same bits, signed
+zeros included, not merely agree within a tolerance.
 """
 
 import math
@@ -17,10 +18,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
 from ionseries import model, series, states
-from ionseries.model import FockBasis, ModelParams, build_h_transformed, derive_params
+from ionseries.model import FockBasis, ModelParams, build_h_lab, build_h_transformed, derive_params
+from ionseries.rwa import RwaQuery, rwa_hamiltonian
 from ionseries.series import _raw_recurrence, case1_closed_form, case2_closed_form
 from ionseries.states import StateVector, cat_state, coherent_state, wigner_grid
+
+
+SIGMA_Z = np.diag([-1.0, 1.0])
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |up><down|
+SIGMA_MINUS = SIGMA_PLUS.T.copy()  # |down><up|
 
 
 def kron_h_transformed(p, basis):
@@ -32,11 +42,37 @@ def kron_h_transformed(p, basis):
     number = np.diag(np.arange(float(cutoff)))
     eye_m = np.eye(cutoff)
     return (
-        np.kron(eye_m, (p.rabi / 2.0) * model.sigma_z())
+        np.kron(eye_m, (p.rabi / 2.0) * SIGMA_Z)
         + np.kron(number, np.eye(2))
-        + np.kron(d.g * x + d.eps * eye_m, model.sigma_x())
+        + np.kron(d.g * x + d.eps * eye_m, SIGMA_X)
         + d.g**2 * np.eye(basis.dim)
     )
+
+
+def kron_h_lab(p, basis):
+    """H_lab as a Kronecker sum, with e^{i eta x} from its own expm."""
+    cutoff = basis.cutoff
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    eplus = expm(1j * p.lamb_dicke * (a + a.T))
+    return (
+        np.kron(np.eye(cutoff), (p.detuning / 2.0) * SIGMA_Z).astype(complex)
+        + np.kron(np.diag(np.arange(float(cutoff))), np.eye(2))
+        + (p.rabi / 2.0) * (np.kron(eplus, SIGMA_PLUS) + np.kron(eplus.conj().T, SIGMA_MINUS))
+    )
+
+
+def kron_rwa_hamiltonian(q, eta, basis):
+    """The M- or K-scheme rotating-wave Hamiltonian as a Kronecker sum."""
+    g = eta / 2.0
+    cutoff = basis.cutoff
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    coupling = g * (np.kron(a.T, SIGMA_MINUS) + np.kron(a, SIGMA_PLUS))
+    if q.scheme == "M":
+        diagonal = np.kron((1.0 - 2.0 ** (-q.index)) * (a.T @ a), np.eye(2))
+    else:
+        coeff = (q.index - 1.0) / (2.0 * q.index) * float(q.index)
+        diagonal = np.kron(np.eye(cutoff), coeff * SIGMA_Z)
+    return diagonal + coupling + g * g * np.eye(basis.dim)
 
 
 def ndarray_recurrence(E, z, rabi, g, eps, c0, n_max):
@@ -129,6 +165,28 @@ class TestBandBuiltHamiltonian:
                 ref = kron_h_transformed(p, basis)
                 assert fast.dtype == ref.dtype and fast.flags.c_contiguous
                 assert fast.tobytes() == ref.tobytes(), (p, cutoff)
+
+
+class TestBlockBuiltOperators:
+    def test_h_lab_matches_kron_sum_bytes(self):
+        for p in _h_params(np.random.default_rng(13), 10):
+            for cutoff in (2, 3, 20, 60):
+                basis = FockBasis(cutoff)
+                fast = build_h_lab(p, basis).entries
+                ref = kron_h_lab(p, basis)
+                assert fast.dtype == ref.dtype and fast.flags.c_contiguous
+                assert fast.tobytes() == ref.tobytes(), (p, cutoff)
+
+    @pytest.mark.parametrize("scheme", ["M", "K"])
+    def test_rwa_matches_kron_sum_bytes(self, scheme):
+        for index in (1, 2, 3, 4):
+            for eta in (0.0, -0.0, 0.1, 0.5, 1.3, 2.7):
+                for cutoff in (2, 3, 20, 60):
+                    q, basis = RwaQuery(scheme, index), FockBasis(cutoff)
+                    fast = rwa_hamiltonian(q, eta, basis).entries
+                    ref = kron_rwa_hamiltonian(q, eta, basis)
+                    assert fast.dtype == ref.dtype and fast.flags.c_contiguous
+                    assert fast.tobytes() == ref.tobytes(), (q, eta, cutoff)
 
 
 class TestFloatRecurrence:

@@ -72,3 +72,46 @@ def test_package_exports_are_the_module_lists():
     assert [p.stem for p in EXPORTING] == sorted(modules)
     assert ionseries.__all__ == expected
     assert all(hasattr(ionseries, name) for name in ionseries.__all__)
+
+
+def referenced_names(source: str):
+    """Names a module reads, as bare names, attributes or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_names(sources: dict):
+    """``module.name`` for each top-level binding that is neither in its module's
+    ``__all__`` nor read by any of ``sources`` (module name -> source text)."""
+    used = set().union(*(referenced_names(s) for s in sources.values()))
+    dead = []
+    for module, source in sources.items():
+        exported = set()
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        names = top_level_names(source) - exported - used - {"__all__"}
+        dead += [f"{module}.{name}" for name in sorted(names)]
+    return dead
+
+
+def test_dead_code_guard_flags_an_unread_name():
+    sources = {
+        "a": '__all__ = ["f"]\ndef f():\n    return _g()\ndef _g():\n    pass\n_UNUSED = 1\n',
+        "b": "from .a import f\nclass Spare:\n    pass\n",
+    }
+    assert dead_names(sources) == ["a._UNUSED", "b.Spare"]
+
+
+def test_no_dead_top_level_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert dead_names(sources) == []

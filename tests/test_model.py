@@ -15,10 +15,6 @@ from ionseries.model import (
     build_h_transformed,
     derive_params,
     displacement_matrix,
-    sigma_minus,
-    sigma_plus,
-    sigma_x,
-    sigma_z,
     transform_uv,
 )
 from ionseries.errors import BasisMismatchError, InvalidBasisError
@@ -67,15 +63,6 @@ class TestBasis:
     def test_operator_matrix_rejects_non_square(self):
         with pytest.raises(ValueError):
             OperatorMatrix(np.zeros((3, 4)), FockBasis(cutoff=2, spin_dim=2))
-
-
-class TestSpinTiles:
-    def test_z_is_down_up_ordered(self):
-        assert np.array_equal(sigma_z(), np.diag([-1.0, 1.0]))
-
-    def test_raising_lowering_products(self):
-        assert np.array_equal(sigma_plus() @ sigma_minus(), np.diag([0.0, 1.0]))
-        assert np.array_equal(sigma_plus() + sigma_minus(), sigma_x())
 
 
 class TestLadder:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ionseries.errors import BasisMismatchError
-from ionseries.model import FockBasis, _annihilation, sigma_minus, sigma_plus
+from ionseries.model import FockBasis, _annihilation
 from ionseries.rwa import RwaQuery, rwa_energy, rwa_hamiltonian, rwa_resonant_rabi
 
 
@@ -72,9 +72,8 @@ class TestHamiltonian:
         cutoff = 40
         H = rwa_hamiltonian(RwaQuery("M", 2), 0.3, FockBasis(cutoff, spin_dim=2)).entries
         a = _annihilation(cutoff)
-        n_exc = np.kron(a.T @ a, np.eye(2)) + np.kron(
-            np.eye(cutoff), sigma_plus() @ sigma_minus()
-        )
+        up_projector = np.diag([0.0, 1.0])  # sigma_+ sigma_- = |up><up|
+        n_exc = np.kron(a.T @ a, np.eye(2)) + np.kron(np.eye(cutoff), up_projector)
         assert np.max(np.abs(H @ n_exc - n_exc @ H)) < 1e-12
 
     def test_sector_eigenvalues_match_closed_form(self):

@@ -397,11 +397,9 @@ class TestTerminateGeneral:
 
     def test_no_convergence_reports_trace(self):
         with pytest.raises(NoSolutionFoundError) as exc_info:
-            terminate_general(
-                4, 1, 0.3, guess=(9.0, 9.0, 9.0), fix="eps", n_starts=2, max_iter=20
-            )
+            terminate_general(4, 1, 0.3, guess=(9.0, 9.0, 9.0), fix="eps")
         trace = exc_info.value.residual_trace
-        assert len(trace) == 2
+        assert len(trace) == 8
         assert all(isinstance(t, float) for t in trace)
 
     def test_argument_validation(self):
