@@ -638,10 +638,10 @@ def run_cat(args: argparse.Namespace) -> int:
     if args.wigner:
         axis = args.wigner
         W = wigner_grid(v, np.array(axis), np.array(axis))
+        labels = [_fmt(a) for a in axis]
         lines = ["x,p,w"]
-        for i, p in enumerate(axis):
-            for j, x in enumerate(axis):
-                lines.append(f"{_fmt(x)},{_fmt(p)},{_fmt(W[i, j])}")
+        for p, row in zip(labels, W.tolist()):
+            lines.extend(f"{x},{p},{_fmt(w)}" for x, w in zip(labels, row))
         out = (args.out or "cat") + ".wigner.csv"
         _write_text(out, "\n".join(lines) + "\n")
         print(f"cat: wigner grid {len(axis)}x{len(axis)} -> {out}")

@@ -10,6 +10,8 @@ returning a clipped state.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +31,19 @@ __all__ = [
 #: Maximum allowed probability mass in the top ten Fock levels.
 TAIL_MASS_TOL = 1e-8
 
-#: Bytes of each of wigner_grid's four (cutoff, tile) recurrence buffers:
-#: 256 KiB makes 109-point tiles at cutoff 150, and all four fit a 2 MiB L2.
+#: Bytes of each of wigner_grid's (cutoff, tile) recurrence buffers: 256 KiB
+#: makes 109-point tiles at cutoff 150, and the six that one recurrence step
+#: touches fit a 2 MiB L2.
 _TILE_BYTES = 256 * 1024
+
+#: Tiles per chunk, the unit of work a wigner_grid worker takes: the coherent
+#: seed column costs ``cutoff`` Python-level steps, paid once per chunk.
+_CHUNK_TILES = 4
+
+#: Most threads one wigner_grid call runs on. Each holds 10 * _TILE_BYTES of
+#: buffers (2.5 MiB) whatever the cutoff, plus up to 0.4 MB of numpy's
+#: transient ufunc buffers, so two keep a call's traced peak near 6.5 MB.
+_MAX_WORKERS = 2
 
 
 @dataclass
@@ -179,6 +191,123 @@ def parity(v: StateVector) -> float:
     return float(np.dot(signs, probs))
 
 
+class _WignerWorkspace:
+    """One wigner_grid worker's buffers, allocated on the calling thread.
+
+    ``seed`` holds a chunk's seed columns D(g)|0>; ``col``, ``nxt``, ``tmp``
+    and ``u`` are one tile's recurrence buffers, ``gconj_rows`` its conj(g)
+    repeated over levels 1.., and ``w2`` and ``rows`` its row-sum terms in
+    level-major and in point-major order.
+    """
+
+    def __init__(self, cutoff: int, chunk: int, tile: int):
+        self.seed = np.empty((cutoff, chunk), dtype=complex)
+        self.col, self.nxt, self.tmp, self.u = (
+            np.empty((cutoff, tile), dtype=complex) for _ in range(4))
+        self.gconj_rows = np.empty((cutoff - 1, tile), dtype=complex)
+        self.w2 = np.empty((cutoff, tile))
+        self.rows = np.empty((tile, cutoff))
+        self.gconj = np.empty(chunk, dtype=complex)
+        self.neg_gconj = np.empty(chunk, dtype=complex)
+        self.e0 = np.empty(chunk)
+
+
+def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
+    """Fill W[start:start + chunk] in the buffers of ``ws``, calling only numpy."""
+    cutoff, tile = ws.u.shape
+    g = gamma[start:start + ws.seed.shape[1]]
+    m = g.size
+    # Row n of ``seed`` holds <n|D(g)|0> for every point of the chunk, so
+    # each step works on contiguous rows in place.
+    seed = ws.seed[:, :m]
+    seedf = seed.view(float)
+    e0 = ws.e0[:m]
+    np.absolute(g, out=e0)
+    np.square(e0, out=e0)
+    np.multiply(-0.5, e0, out=e0)
+    seed[0] = np.exp(e0, out=e0)
+    for n in range(1, cutoff):
+        np.multiply(seed[n - 1], g, out=seed[n])
+        seedf[n] *= inv_root[n]
+    gconj_chunk = np.conjugate(g, out=ws.gconj[:m])
+    neg_gconj_chunk = np.negative(gconj_chunk, out=ws.neg_gconj[:m])
+
+    for a in range(0, m, tile):
+        b = min(a + tile, m)
+        gconj, neg_gconj = gconj_chunk[a:b], neg_gconj_chunk[a:b]
+        col, nxt, tmp, u = (x[:, :b - a] for x in (ws.col, ws.nxt, ws.tmp, ws.u))
+        np.copyto(col, seed[:, a:b])
+        # Float views (re, im interleaved) for the sums, the differences and
+        # the scalings by a real factor. numpy divides by c + 0j as
+        # (re + im*0) * (1/c), so the bytes match complex arithmetic up to
+        # signed zeros, which |u|^2 erases.
+        colf, nxtf, tmpf, uf = (x.view(float) for x in (col, nxt, tmp, u))
+        col0, nxt0, col_hi, tmp_hi = col[0], nxt[0], col[1:], tmp[1:]
+        colf_lo, nxtf_hi, tmpf_hi = colf[:-1], nxtf[1:], tmpf[1:]
+        # Full-shape factors: a broadcast operand costs numpy a buffered
+        # iteration, with its allocations, on every call.
+        root_lo = root_n[:, :2 * (b - a)]
+        gconj_rows = ws.gconj_rows[:, :b - a]
+        np.copyto(gconj_rows, gconj)
+
+        np.multiply(amps[0], col, out=u)  # accumulate sum_j v_j * D(g)|j>
+        for j in range(1, j_max + 1):
+            np.multiply(neg_gconj, col0, out=nxt0)
+            np.multiply(root_lo, colf_lo, out=nxtf_hi)
+            np.multiply(gconj_rows, col_hi, out=tmp_hi)
+            np.subtract(nxtf_hi, tmpf_hi, out=nxtf_hi)
+            np.multiply(nxtf, inv_root[j], out=colf)
+            if amps[j] != 0:
+                np.multiply(amps[j], col, out=tmp)
+                uf += tmpf
+
+        # signs * |u|^2 elementwise, then each point's levels made contiguous,
+        # so the sum reduces in the same (pairwise) order for every tile width.
+        w2, rows = ws.w2[:, :b - a], ws.rows[:b - a]
+        np.absolute(u, out=w2)
+        np.square(w2, out=w2)
+        np.multiply(signs, w2, out=w2)
+        np.copyto(rows, w2.T)
+        w = np.sum(rows, axis=1, out=W[start + a:start + b])
+        np.multiply(2.0 / math.pi, w, out=w)
+
+
+def _run_workers(run_chunk, starts, workspaces):
+    """Call ``run_chunk(start, ws)`` for every start, one thread per workspace.
+
+    The first workspace's thread is the caller's own. Each worker takes the
+    next start under a lock, and none takes another once one has failed.
+    Every thread is joined before the first failure is raised here.
+    """
+    pending = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def work(ws):
+        try:
+            while True:
+                with lock:
+                    start = None if errors else next(pending, None)
+                if start is None:
+                    return
+                run_chunk(start, ws)
+        except BaseException as exc:  # re-raised on the calling thread
+            with lock:
+                errors.append(exc)
+
+    threads = []
+    try:
+        for ws in workspaces[1:]:
+            threads.append(threading.Thread(target=work, args=(ws,)))
+            threads[-1].start()
+        work(workspaces[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Wigner function W(x + i p) of a motional state on a rectangular grid.
 
@@ -192,9 +321,12 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     column D(g)|0>, accumulating only the Fock components where v has support.
     Grid points are taken in tiles of max(1, _TILE_BYTES // (16 * cutoff))
     points: the whole recurrence and the parity sum run on one tile before the
-    next, so the four (cutoff, tile) buffers stay in cache and memory does not
-    grow with the grid. Each grid point gets the same arithmetic whatever the
-    tile, so W does not depend on the tile width.
+    next, so the recurrence buffers stay in cache and memory does not grow
+    with the grid. Chunks of _CHUNK_TILES tiles share one seed computation and
+    are spread over min(CPUs this process may run on, chunks, _MAX_WORKERS)
+    threads; numpy releases the interpreter lock inside each ufunc, so the
+    threads overlap. Each grid point gets the same arithmetic whatever the
+    tile, chunk or thread, so W does not depend on any of them.
     """
     _require_motional(v.basis, "wigner_grid")
     xs = np.asarray(xs, dtype=float)
@@ -212,41 +344,18 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     gamma = -alpha
     G = gamma.size
     tile = min(G, max(1, _TILE_BYTES // (16 * cutoff)))
+    chunk = min(G, _CHUNK_TILES * tile)
+    starts = range(0, G, chunk)
+    workers = min(len(os.sched_getaffinity(0)), len(starts), _MAX_WORKERS)
 
-    root_n = np.sqrt(np.arange(1, cutoff))[:, None]
-    signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
-    bufs = [np.empty((cutoff, tile), dtype=complex) for _ in range(4)]
+    inv_root = [0.0] + [1.0 / math.sqrt(n) for n in range(1, cutoff)]
+    root_n = np.repeat(np.sqrt(np.arange(1, cutoff))[:, None], 2 * tile, axis=1)  # a tile's float columns
+    signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)[:, None]
     W = np.empty(G)
-    for start in range(0, G, tile):
-        g = gamma[start:start + tile]
-        # Row n of ``col`` holds <n|D(g)|j> for every point of the tile, so
-        # each recurrence step works on contiguous rows in place.
-        col, nxt, tmp, u = (b[:, :g.size] for b in bufs)
-        # Float views (re, im interleaved) for the sums, the differences and
-        # the scalings by a real factor. numpy divides by c + 0j as
-        # (re + im*0) * (1/c), so the bytes match complex arithmetic up to
-        # signed zeros, which |u|^2 erases.
-        colf, nxtf, tmpf, uf = (b.view(float) for b in (col, nxt, tmp, u))
-        col[0] = np.exp(-0.5 * np.abs(g) ** 2)
-        for n in range(1, cutoff):
-            np.multiply(col[n - 1], g, out=col[n])
-            colf[n] *= 1.0 / math.sqrt(n)
 
-        np.multiply(amps[0], col, out=u)  # accumulate sum_j v_j * D(g)|j>
-        gconj = np.conj(g)
-        neg_gconj = -gconj
-        for j in range(1, j_max + 1):
-            np.multiply(neg_gconj, col[0], out=nxt[0])
-            np.multiply(root_n, colf[:-1], out=nxtf[1:])
-            np.multiply(gconj, col[1:], out=tmp[1:])
-            np.subtract(nxtf[1:], tmpf[1:], out=nxtf[1:])
-            np.multiply(nxtf, 1.0 / math.sqrt(j), out=colf)
-            if amps[j] != 0:
-                np.multiply(amps[j], col, out=tmp)
-                uf += tmpf
+    def run_chunk(start, ws):
+        _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs)
 
-        # Each point's levels contiguous, so the sum reduces in the same
-        # (pairwise) order for every tile width.
-        u = np.ascontiguousarray(u.T)
-        W[start:start + g.size] = (2.0 / math.pi) * (signs[None, :] * np.abs(u) ** 2).sum(axis=1)
+    _run_workers(run_chunk, starts,
+                 [_WignerWorkspace(cutoff, chunk, tile) for _ in range(workers)])
     return W.reshape(ps.size, xs.size)

@@ -40,12 +40,25 @@ def _env():
     return env
 
 
-@pytest.mark.parametrize("cid, argv, code, artefacts", CLI_COMMANDS,
-                         ids=[c[0] for c in CLI_COMMANDS])
-def test_artefacts_match_golden(tmp_path, cid, argv, code, artefacts):
+def _check_command(tmp_path, cid, argv, code, artefacts, preexec_fn=None):
     proc = subprocess.run([sys.executable, "-m", "ionseries.cli", *argv], cwd=tmp_path,
-                          env=_env(), capture_output=True, text=True, timeout=120)
+                          env=_env(), capture_output=True, text=True, timeout=120,
+                          preexec_fn=preexec_fn)
     assert proc.returncode == code, proc.stderr
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in artefacts}
     assert digests == GOLDEN[cid]
+
+
+@pytest.mark.parametrize("cid, argv, code, artefacts", CLI_COMMANDS,
+                         ids=[c[0] for c in CLI_COMMANDS])
+def test_artefacts_match_golden(tmp_path, cid, argv, code, artefacts):
+    _check_command(tmp_path, cid, argv, code, artefacts)
+
+
+def test_cat_wigner_on_one_cpu_matches_golden(tmp_path):
+    """The single-worker Wigner path writes the same bytes as the threaded one."""
+    command = next(c for c in CLI_COMMANDS if c[0] == "cat_wigner")
+    cpu = min(os.sched_getaffinity(0))
+    # sched_setaffinity runs in the child between fork and exec, so only it is pinned
+    _check_command(tmp_path, *command, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -285,21 +286,92 @@ class TestColumnMajorWigner:
                 assert W.shape == (n_p, n_x)
                 assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes(), (cutoff, n_p, n_x)
 
-    def test_peak_memory_is_tile_bound(self):
+    @pytest.mark.parametrize("cutoff", [40, 150])
+    def test_chunks_match_row_major_bytes(self, cutoff, monkeypatch):
+        basis = FockBasis(cutoff=cutoff, spin_dim=1)
+        chunk = states._CHUNK_TILES * max(1, states._TILE_BYTES // (16 * cutoff))
+        cap = states._MAX_WORKERS
+        v = cat_state(1.7, basis)
+        made = []
+
+        class CountedWorkspace(states._WignerWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(states, "_WignerWorkspace", CountedWorkspace)
+        # a chunk minus one point, one whole chunk, a chunk plus one point,
+        # and fewer chunks than the worker cap
+        shapes = [(1, chunk - 1), (1, chunk), (1, chunk + 1), (max(1, cap - 1), chunk)]
+        for n_p, n_x in shapes:
+            xs, ps = np.linspace(-3.0, 3.0, n_x), np.linspace(-2.0, 2.5, n_p)
+            reference = row_major_wigner(v, xs, ps).tobytes()
+            chunks = -(-n_p * n_x // chunk)
+            for cpus in (1, 2, cap + 1):
+                _use_cpus(monkeypatch, cpus)
+                made.clear()
+                assert wigner_grid(v, xs, ps).tobytes() == reference, (n_p, n_x, cpus)
+                assert len(made) == min(cpus, chunks, cap)
+
+    def test_peak_memory_is_tile_bound(self, monkeypatch):
         v = cat_state(1.5, FockBasis(cutoff=150, spin_dim=1))
         axis = np.linspace(-5.0, 5.0, 101)
-        tracemalloc.start()
+        for cpus in (1, states._MAX_WORKERS + 1):
+            _use_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                wigner_grid(v, axis, axis)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6, (cpus, peak)
+
+    def test_no_chunk_lost_under_fast_thread_switching(self, monkeypatch):
+        v = cat_state(1.2, FockBasis(cutoff=400, spin_dim=1))
+        xs, ps = np.linspace(-4.0, 4.0, 41), np.linspace(-3.0, 4.0, 43)  # 12 chunks
+        reference = row_major_wigner(v, xs, ps).tobytes()
+        monkeypatch.setattr(states, "_MAX_WORKERS", 4)  # beyond the cap, so threads can outnumber cores
+        _use_cpus(monkeypatch, 4)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            wigner_grid(v, axis, axis)
-            peak = tracemalloc.get_traced_memory()[1]
+            for _ in range(3):
+                assert wigner_grid(v, xs, ps).tobytes() == reference
         finally:
-            tracemalloc.stop()
-        assert peak < 8e6, peak
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_worker_failure_reaches_caller(self, monkeypatch):
+        v = cat_state(1.2, FockBasis(cutoff=60, spin_dim=1))
+        axis = np.linspace(-4.0, 4.0, 97)
+        original = states._wigner_chunk
+        raised = threading.Event()
+
+        def failing_off_the_caller(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raised.set()
+                raise RuntimeError("worker failed")
+            assert raised.wait(10)  # a worker takes a chunk before the caller finishes one
+            original(*args)
+
+        monkeypatch.setattr(states, "_wigner_chunk", failing_off_the_caller)
+        _use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            wigner_grid(v, axis, axis)
+        assert threading.active_count() == before
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _use_cpus(monkeypatch, count):
+    """Make wigner_grid see ``count`` CPUs without changing the real affinity."""
+    monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _printed_by_cli_import(module):
+    """``True`` or ``False``: whether ``import ionseries.cli`` loads ``module``."""
     src = Path(states.__file__).resolve().parents[1]
-    code = "import sys, ionseries.cli; print('scipy' in sys.modules)"
+    code = f"import sys, ionseries.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -307,4 +379,12 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _printed_by_cli_import("scipy") == "False"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    assert _printed_by_cli_import("concurrent.futures") == "False"
