@@ -67,8 +67,8 @@ class TruncationError(IonSeriesError):
 
 
 class NonHermitianError(IonSeriesError):
-    """The eigensolver was handed a matrix whose Hermiticity defect exceeds
-    tolerance.
+    """The eigensolver was handed a matrix whose Hermiticity defect is not
+    below tolerance (a NaN defect included).
 
     Attributes
     ----------

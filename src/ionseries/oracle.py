@@ -85,15 +85,15 @@ class ValidationReport:
 def hermitian_eigensystem(H: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
     """Full ascending eigensystem of a Hermitian operator.
 
-    Rejects inputs whose Hermiticity defect exceeds 1e-10 (with the defect in the
-    error). Eigenvectors, when requested, are orthonormal columns matched to the
-    eigenvalue order.
+    Rejects inputs whose Hermiticity defect is not below 1e-10, NaN included
+    (with the defect in the error). Eigenvectors, when requested, are
+    orthonormal columns matched to the eigenvalue order.
     """
     M = np.asarray(H.entries)
     defect = H.hermiticity_defect()
-    if defect >= 1e-10:
+    if not defect < 1e-10:  # NaN fails too
         raise NonHermitianError(
-            f"matrix is not Hermitian (defect {defect:.3e} >= 1e-10)", defect=defect
+            f"matrix is not Hermitian (defect {defect:.3e}, limit 1e-10)", defect=defect
         )
     if want_vectors:
         w, v = np.linalg.eigh(M)

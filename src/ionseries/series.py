@@ -113,37 +113,29 @@ class SeriesCoefficients:
 
 def _raw_recurrence(
     E: float, z: float, rabi: float, g: float, eps: float, c0: float, n_max: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[list, list]:
     """Generate b_0..b_{n_max}, c_0..c_{n_max} from the two coupled recurrences.
 
     Seeds: b_0 = 1, c_0 = c0, and both coefficients vanish at negative index.
-    The loop runs on Python floats, which round exactly as float64 arrays do.
+    The loop runs on Python floats, which round exactly as float64 arrays do,
+    and returns them as two lists. The hoisted invariants keep the left-to-right
+    evaluation order of the full expressions.
     """
     E, z, rabi, g, eps = float(E), float(z), float(rabi), float(g), float(eps)
+    e_up = E + rabi / 2.0
+    e_down = E - rabi / 2.0
+    gg = g * g
+    shift = g * z - eps
     b = [1.0]
     c = [float(c0)]
     b_prev = c_prev = 0.0
     for n in range(n_max):
         b_n, c_n = b[n], c[n]
         denom = g * (n + 1)
-        b.append(
-            (
-                (E + rabi / 2.0 - n - g * g) * c_n
-                + (g * z - eps) * b_n
-                - g * b_prev
-                + z * c_prev
-            ) / denom
-        )
-        c.append(
-            (
-                (E - rabi / 2.0 - n - g * g) * b_n
-                + (g * z - eps) * c_n
-                - g * c_prev
-                + z * b_prev
-            ) / denom
-        )
+        b.append(((e_up - n - gg) * c_n + shift * b_n - g * b_prev + z * c_prev) / denom)
+        c.append(((e_down - n - gg) * b_n + shift * c_n - g * c_prev + z * b_prev) / denom)
         b_prev, c_prev = b_n, c_n
-    return np.array(b), np.array(c)
+    return b, c
 
 
 def recurrence_coefficients(
@@ -470,14 +462,13 @@ _STEP_TOL = 1e-12
 _MAX_ITER = 200
 
 
-def _fd_jacobian(f, x: np.ndarray, free) -> np.ndarray:
+def _fd_jacobian(f, x: list, free) -> np.ndarray:
     """Central finite-difference Jacobian of the 3-residual ``f`` in the ``free`` entries of x."""
-    columns = np.flatnonzero(free)
-    J = np.empty((3, columns.size))
-    for j, k in enumerate(columns):
+    J = np.empty((3, len(free)))
+    for j, k in enumerate(free):
         h = 1e-7 * max(1.0, abs(x[k]))
-        xp = x.copy()
-        xm = x.copy()
+        xp = list(x)
+        xm = list(x)
         xp[k] += h
         xm[k] -= h
         J[:, j] = (f(xp) - f(xm)) / (2.0 * h)
@@ -523,9 +514,11 @@ def terminate_general(
     if fix is not None and guess is None:
         raise ValueError("fix requires an explicit guess supplying the pinned value")
     g = eta / 2.0
-    free = np.array([fix != "rabi", fix != "eps", True])  # over (rabi, eps, c0)
+    free = [k for k, name in enumerate(("rabi", "eps", "c0")) if name != fix]
 
-    def residual(x: np.ndarray) -> np.ndarray:
+    # x is (rabi, eps, c0) as Python floats; each update, difference and norm
+    # rounds exactly as the same float64 array expression does.
+    def residual(x: list) -> np.ndarray:
         rabi, eps, c0 = x
         b, c = _raw_recurrence(order + branch * eps, branch * g, rabi, g, eps, c0, order + 1)
         return np.array([b[order + 1], c[order + 1], c[order] - branch * b[order]])
@@ -539,26 +532,28 @@ def terminate_general(
         ]
     else:
         # the minus branch's manifold mirrors the plus one in eps
-        starts = [np.array([s[0], branch * s[1], s[2]]) for s in _HEURISTIC_SEEDS]
+        starts = [(s[0], branch * s[1], s[2]) for s in _HEURISTIC_SEEDS]
 
     trace = []
     for start in starts:
-        x = np.array(start, dtype=float)
+        x = [float(v) for v in start]
         F = residual(x)
-        norm = np.linalg.norm(F)
+        norm = math.sqrt(F.dot(F))  # np.linalg.norm of a 1-D float64 array
         for _ in range(_MAX_ITER):
             if np.max(np.abs(F)) < _TOL:
                 break
             step = np.linalg.lstsq(_fd_jacobian(residual, x, free), -F, rcond=None)[0]
             if not np.all(np.isfinite(step)):
                 break
+            step_list = step.tolist()
             lam = 1.0
             for _ in range(30):
-                x_new = x.copy()
-                x_new[free] += lam * step
+                x_new = list(x)
+                for j, k in enumerate(free):
+                    x_new[k] = x[k] + lam * step_list[j]
                 F_new = residual(x_new)
-                norm_new = np.linalg.norm(F_new)
-                if np.isfinite(norm_new) and norm_new < norm:
+                norm_new = math.sqrt(F_new.dot(F_new))
+                if math.isfinite(norm_new) and norm_new < norm:
                     x, F, norm = x_new, F_new, norm_new
                     break
                 lam *= 0.5
@@ -569,7 +564,7 @@ def terminate_general(
         trace.append(float(np.max(np.abs(F))))
         if trace[-1] >= _TOL:
             continue
-        rabi, eps, c0 = (float(v) for v in x)
+        rabi, eps, c0 = x
         if rabi < 0:
             trace[-1] = float("inf")  # out-of-domain convergence point
             continue
@@ -577,7 +572,7 @@ def terminate_general(
         # Rank of the full residual Jacobian at the converged point: 2, because
         # one linear dependency ties the three residuals together on the
         # manifold, leaving a one-dimensional solution curve in (rabi, eps, c0).
-        svals = np.linalg.svd(_fd_jacobian(residual, x, [True] * 3), compute_uv=False)
+        svals = np.linalg.svd(_fd_jacobian(residual, x, (0, 1, 2)), compute_uv=False)
         sol.jacobian_rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
         gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
         if gap > EIGEN_GAP_TOL:

@@ -41,8 +41,9 @@ _TILE_BYTES = 256 * 1024
 _CHUNK_TILES = 4
 
 #: Most threads one wigner_grid call runs on. Each holds 10 * _TILE_BYTES of
-#: buffers (2.5 MiB) whatever the cutoff, plus up to 0.4 MB of numpy's
-#: transient ufunc buffers, so two keep a call's traced peak near 6.5 MB.
+#: buffers (2.5 MiB) whatever the cutoff, plus, for a narrow last tile, a copy
+#: of up to 1.5 * _TILE_BYTES of factors, so two keep a call's traced peak
+#: near 6.5 MB.
 _MAX_WORKERS = 2
 
 
@@ -197,7 +198,8 @@ class _WignerWorkspace:
     ``seed`` holds a chunk's seed columns D(g)|0>; ``col``, ``nxt``, ``tmp``
     and ``u`` are one tile's recurrence buffers, ``gconj_rows`` its conj(g)
     repeated over levels 1.., and ``w2`` and ``rows`` its row-sum terms in
-    level-major and in point-major order.
+    level-major and in point-major order. A narrower tile works in the
+    contiguous head of each buffer.
     """
 
     def __init__(self, cutoff: int, chunk: int, tile: int):
@@ -210,6 +212,12 @@ class _WignerWorkspace:
         self.gconj = np.empty(chunk, dtype=complex)
         self.neg_gconj = np.empty(chunk, dtype=complex)
         self.e0 = np.empty(chunk)
+
+
+def _head(buf: np.ndarray, width: int) -> np.ndarray:
+    """The contiguous (rows, width) view over the first rows * width entries of ``buf``."""
+    rows = buf.shape[0]
+    return buf.reshape(-1)[:rows * width].reshape(rows, width)
 
 
 def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
@@ -234,8 +242,9 @@ def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
 
     for a in range(0, m, tile):
         b = min(a + tile, m)
+        width = b - a
         gconj, neg_gconj = gconj_chunk[a:b], neg_gconj_chunk[a:b]
-        col, nxt, tmp, u = (x[:, :b - a] for x in (ws.col, ws.nxt, ws.tmp, ws.u))
+        col, nxt, tmp, u = (_head(x, width) for x in (ws.col, ws.nxt, ws.tmp, ws.u))
         np.copyto(col, seed[:, a:b])
         # Float views (re, im interleaved) for the sums, the differences and
         # the scalings by a real factor. numpy divides by c + 0j as
@@ -244,10 +253,12 @@ def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
         colf, nxtf, tmpf, uf = (x.view(float) for x in (col, nxt, tmp, u))
         col0, nxt0, col_hi, tmp_hi = col[0], nxt[0], col[1:], tmp[1:]
         colf_lo, nxtf_hi, tmpf_hi = colf[:-1], nxtf[1:], tmpf[1:]
-        # Full-shape factors: a broadcast operand costs numpy a buffered
-        # iteration, with its allocations, on every call.
-        root_lo = root_n[:, :2 * (b - a)]
-        gconj_rows = ws.gconj_rows[:, :b - a]
+        # Full-shape, contiguous operands: a broadcast or strided one costs
+        # numpy a buffered iteration, with its allocations, on every call.
+        # Only a narrow last tile copies its factors, once.
+        root_lo = np.ascontiguousarray(root_n[:, :2 * width])
+        tile_signs = np.ascontiguousarray(signs[:, :width])
+        gconj_rows = _head(ws.gconj_rows, width)
         np.copyto(gconj_rows, gconj)
 
         np.multiply(amps[0], col, out=u)  # accumulate sum_j v_j * D(g)|j>
@@ -263,10 +274,10 @@ def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
 
         # signs * |u|^2 elementwise, then each point's levels made contiguous,
         # so the sum reduces in the same (pairwise) order for every tile width.
-        w2, rows = ws.w2[:, :b - a], ws.rows[:b - a]
+        w2, rows = _head(ws.w2, width), ws.rows[:width]
         np.absolute(u, out=w2)
         np.square(w2, out=w2)
-        np.multiply(signs, w2, out=w2)
+        np.multiply(tile_signs, w2, out=w2)
         np.copyto(rows, w2.T)
         w = np.sum(rows, axis=1, out=W[start + a:start + b])
         np.multiply(2.0 / math.pi, w, out=w)
@@ -350,7 +361,7 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     inv_root = [0.0] + [1.0 / math.sqrt(n) for n in range(1, cutoff)]
     root_n = np.repeat(np.sqrt(np.arange(1, cutoff))[:, None], 2 * tile, axis=1)  # a tile's float columns
-    signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)[:, None]
+    signs = np.repeat(np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)[:, None], tile, axis=1)
     W = np.empty(G)
 
     def run_chunk(start, ws):

@@ -210,14 +210,14 @@ class TestFloatRecurrence:
                 )
             )
         for args in cases:
-            b, c = _raw_recurrence(*args)
+            b, c = (np.asarray(v) for v in _raw_recurrence(*args))
             rb, rc = ndarray_recurrence(*args)
             assert b.dtype == rb.dtype and c.dtype == rc.dtype
             assert b.tobytes() == rb.tobytes() and c.tobytes() == rc.tobytes(), args
 
     def test_numpy_scalar_inputs_match(self):
         args = tuple(np.float64(v) for v in (1.7, 0.15, 0.9, 0.15, -0.3, 0.4)) + (5,)
-        b, c = _raw_recurrence(*args)
+        b, c = (np.asarray(v) for v in _raw_recurrence(*args))
         rb, rc = ndarray_recurrence(*args)
         assert b.tobytes() == rb.tobytes() and c.tobytes() == rc.tobytes()
 

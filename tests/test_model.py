@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ionseries as ions
 from ionseries.model import (
@@ -11,13 +13,15 @@ from ionseries.model import (
     ModelParams,
     OperatorMatrix,
     _annihilation,
+    _check_hermitian,
+    _hermiticity_defect,
     build_h_lab,
     build_h_transformed,
     derive_params,
     displacement_matrix,
     transform_uv,
 )
-from ionseries.errors import BasisMismatchError, InvalidBasisError
+from ionseries.errors import BasisMismatchError, InvalidBasisError, IonSeriesError
 from ionseries.states import _coherent_amplitudes
 
 
@@ -193,3 +197,56 @@ class TestFrameMap:
         w_t = np.linalg.eigvalsh(build_h_transformed(self.P, basis).entries)
         k = basis.dim // 3
         assert np.max(np.abs(w_lab[:k] - w_t[:k])) < 1e-8
+
+
+# Any float64, with the values where a shortcut could go wrong drawn often.
+ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]),
+)
+
+
+@st.composite
+def near_hermitian(draw):
+    """A real or complex matrix mirrored to be exactly Hermitian, then perhaps
+    with one entry replaced, or with the sign of one mirrored zero flipped."""
+    n = draw(st.integers(1, 5))
+    complex_entries = draw(st.booleans())
+    re = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    M = re.astype(complex) if complex_entries else re
+    if complex_entries:
+        M.imag = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    lower = np.tril_indices(n, -1)
+    M[lower] = M.conj().T[lower]
+    if complex_entries:
+        M[np.diag_indices(n)] = M.diagonal().real
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "replace", "flip_zero"]))
+    if change == "replace":
+        M[i, j] = draw(ENTRIES)
+    elif change == "flip_zero":
+        M[i, j] = M[j, i] = 0.0
+        M[i, j] = -0.0
+    return M
+
+
+class TestHermiticityDefect:
+    @settings(max_examples=400, deadline=None)
+    @given(near_hermitian())
+    def test_matches_formula_bit_for_bit(self, M):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = float(np.max(np.abs(M - M.conj().T)))
+            got = _hermiticity_defect(M)
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
+    def test_empty_matrix_raises_as_formula_does(self):
+        with pytest.raises(ValueError):
+            _hermiticity_defect(np.empty((0, 0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_builder_gate_rejects_nan_and_inf(self, bad):
+        H = np.eye(4)
+        H[1, 2] = H[2, 1] = bad  # symmetric, but inf - inf and nan - nan are NaN
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(IonSeriesError):
+                _check_hermitian(H, "test")

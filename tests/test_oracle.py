@@ -25,6 +25,16 @@ class TestEigensystem:
             hermitian_eigensystem(M)
         assert exc_info.value.defect == pytest.approx(1.0, abs=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nan_and_inf_entries(self, bad):
+        entries = np.eye(4)
+        entries[0, 1] = entries[1, 0] = bad
+        M = OperatorMatrix(entries, FockBasis(2))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonHermitianError) as exc_info:
+                hermitian_eigensystem(M)
+        assert np.isnan(exc_info.value.defect)
+
     def test_eigenvalues_ascending(self):
         spec = hermitian_eigensystem(build_h_transformed(P_ANCHOR, FockBasis(40)))
         assert np.all(np.diff(spec.eigenvalues) >= 0)

@@ -3,13 +3,19 @@
 ``terminate_general`` is deterministic: 8 fixed heuristic seeds, or a guess
 and 7 jitters of it from a seeded generator, refined by damped Gauss-Newton.
 Its printed digits are golden-pinned, so every returned point is frozen here
-as ``float.hex`` of (rabi, detuning, c0, oracle_gap), and every unsolved input
-as the ``float.hex`` of its 8-entry residual trace.
+as ``float.hex`` of (rabi, detuning, c0, oracle_gap), its ``jacobian_rank`` and
+the ``float.hex`` of its termination residual, and every unsolved input as the
+``float.hex`` of its 8-entry residual trace.
 
 GRID keys are (order, branch, index into ETAS): two inputs for each order 3..8
 and branch, eight of them unsolved (order >= 5 at eta = 0.05). The guess run
 converges only from a jittered start, so it pins the jitter draws too.
+GRID_SHA256 is the sha256 of the ``repr`` of the records of all 192 inputs
+(orders 3..8, both branches, every ETAS value), so one test gates the whole
+grid; the GRID samples show which input moved.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,34 +28,35 @@ ETAS = np.linspace(0.05, 0.8, 16)
 GRID = {
     (3, 1, 0): (
         "0x1.9999981940653p-1", "0x1.792a3da174351p+1", "-0x1.8776f2a1756e2p-1",
-        "0x1.0000000000000p-51",
+        "0x1.0000000000000p-51", 2, "0x1.03e6a6a000000p-37",
     ),
     (3, 1, 3): (
         "0x1.9999997a6f3c8p-1", "0x1.e968b33e8ec06p+0", "-0x1.c5ab7cf2f94a2p-1",
-        "0x1.0000000000000p-51",
+        "0x1.0000000000000p-51", 2, "0x1.2c50000000000p-40",
     ),
     (3, -1, 0): (
         "0x1.9999995ad7d8fp-1", "-0x1.aa6fe83a75871p-1", "0x1.70b38194fbe65p-1",
-        "0x1.8000000000000p-50",
+        "0x1.8000000000000p-50", 2, "0x1.16c0000000000p-36",
     ),
     (3, -1, 4): (
         "0x1.9999981aa1cddp-1", "-0x1.56e329beeabc6p-1", "0x1.1037ca8436fdap-1", "0x0.0p+0",
+        2, "0x1.4000000000000p-43",
     ),
     (4, 1, 0): (
         "0x1.9999995feb165p-1", "0x1.eb675767b5ad1p+0", "-0x1.bf058a79c3029p-1",
-        "0x1.0000000000000p-49",
+        "0x1.0000000000000p-49", 2, "0x1.92e8000000000p-34",
     ),
     (4, 1, 5): (
         "0x1.999992122879ap-1", "0x1.0eedf27f22900p-1", "-0x1.f8a800a9935cep+0",
-        "0x1.6000000000000p-48",
+        "0x1.6000000000000p-48", 2, "0x1.07aaaaaaaaaabp-35",
     ),
     (4, -1, 0): (
         "0x1.333335459f882p-2", "-0x1.ef6bca4b752f8p-1", "0x1.05698c482be38p+0",
-        "0x1.0000000000000p-51",
+        "0x1.0000000000000p-51", 2, "0x1.9000000000000p-34",
     ),
     (4, -1, 6): (
         "0x1.9999987acae52p-1", "-0x1.b5910a8d92de3p-2", "0x1.7604fc459e879p+1",
-        "0x1.8000000000000p-50",
+        "0x1.8000000000000p-50", 2, "0x1.7000000000000p-39",
     ),
     (5, 1, 0): [
         "0x1.d5807d049b2d9p+24", "0x1.e2a7fffffffffp-29", "0x1.ed55555555554p-26",
@@ -58,7 +65,7 @@ GRID = {
     ],
     (5, 1, 7): (
         "0x1.99999966df060p-1", "0x1.c6e5aa1f7f524p+0", "-0x1.ec896b2482aefp-1",
-        "0x1.6000000000000p-47",
+        "0x1.6000000000000p-47", 2, "0x1.3800000000000p-38",
     ),
     (5, -1, 0): [
         "0x1.21fffffffffffp-27", "0x1.f8ddd55555554p-27", "0x1.1b83955555555p-24",
@@ -67,7 +74,7 @@ GRID = {
     ],
     (5, -1, 8): (
         "0x1.9998ff0690c2ep-1", "-0x1.0b83d234c6576p-4", "-0x1.47e5d86d20d11p-3",
-        "0x1.c000000000000p-47",
+        "0x1.c000000000000p-47", 2, "0x1.3df684bda12f6p-34",
     ),
     (6, 1, 0): [
         "0x1.3492492492492p-24", "0x1.a6ae6db6db6dbp-21", "0x1.0124924924924p-20",
@@ -76,7 +83,7 @@ GRID = {
     ],
     (6, 1, 9): (
         "0x1.999a656e0da9dp-1", "0x1.6f965a6b8d985p+1", "-0x1.db0492845d864p-1",
-        "0x1.0000000000000p-50",
+        "0x1.0000000000000p-50", 2, "0x1.0124924924925p-43",
     ),
     (6, -1, 0): [
         "0x1.2d12492492492p-19", "0x1.e2e45b6db6db6p-20", "0x1.19c9249249249p-19",
@@ -85,7 +92,7 @@ GRID = {
     ],
     (6, -1, 10): (
         "0x1.9999ab1e63984p-1", "-0x1.7c351115b91b5p+0", "0x1.9c0603e289bd3p-1",
-        "0x1.f000000000000p-46",
+        "0x1.f000000000000p-46", 2, "0x1.ae50000000000p-34",
     ),
     (7, 1, 0): [
         "0x1.15bf7aa1eca6fp+35", "0x1.1309600000000p-13", "0x1.2d40000000000p-11",
@@ -94,7 +101,7 @@ GRID = {
     ],
     (7, 1, 11): (
         "0x1.9999981481c4cp-1", "0x1.44d928cbe6e33p+0", "-0x1.35cc9e08c9a89p+0",
-        "0x1.0000000000000p-50",
+        "0x1.0000000000000p-50", 2, "0x1.a000000000000p-41",
     ),
     (7, -1, 0): [
         "0x1.2020000000000p-15", "0x1.5fec300000000p-13", "0x1.3329200000000p-15",
@@ -103,7 +110,7 @@ GRID = {
     ],
     (7, -1, 12): (
         "0x1.99999b2229cd9p-1", "-0x1.23293e66e0808p+0", "0x1.5fdd5c17c947fp+0",
-        "0x1.8000000000000p-49",
+        "0x1.8000000000000p-49", 2, "0x1.0800000000000p-39",
     ),
     (8, 1, 0): [
         "0x1.e74e000000000p-11", "0x1.77afd55555555p-9", "0x1.e471c71c71c72p-9",
@@ -112,7 +119,7 @@ GRID = {
     ],
     (8, 1, 13): (
         "0x1.9999a368e763fp-1", "0x1.4182bfe19bed4p+1", "-0x1.ef9fdbcff442ep-1",
-        "0x1.0000000000000p-49",
+        "0x1.0000000000000p-49", 2, "0x1.8d00000000000p-38",
     ),
     (8, -1, 0): [
         "0x1.4471c71c71c72p-11", "0x1.053c2e38e38e3p-8", "0x1.ec38e38e38e39p-6",
@@ -121,25 +128,27 @@ GRID = {
     ],
     (8, -1, 14): (
         "0x1.9999983068706p-1", "-0x1.5d943a2cd27cfp-1", "0x1.1a2c2e9ff852ap-2",
-        "0x1.8000000000000p-49",
+        "0x1.8000000000000p-49", 2, "0x1.6900000000000p-34",
     ),
 }
 FIX_EPS = (
-    "0x1.f5a7cecdb685bp+0", "-0x0.0p+0", "0x1.b4d0cfa0e134bp-14", "0x1.c000000000000p-51",
+    "0x1.f5a7cecdb685bp+0", "-0x0.0p+0", "0x1.b4d0cfa0e134bp-14",
+    "0x1.c000000000000p-51", 2, "0x1.c87c000000000p-42",
 )
 FIX_RABI = (
     "0x1.0000000000000p-1", "0x1.d5f602b3c001fp-1", "-0x1.111e68e296e08p+0",
-    "0x1.0000000000000p-52",
+    "0x1.0000000000000p-52", 2, "0x1.7555555555554p-44",
 )
 GUESS = (
     "0x1.9b2acbb75f748p-1", "-0x1.0c7f62bbb3936p-2", "0x1.841231261a46fp-4",
-    "0x1.8000000000000p-49",
+    "0x1.8000000000000p-49", 2, "0x1.7931674c59d31p-36",
 )
 NO_CONVERGENCE = [
     "0x1.3e45aaaaaaaabp-29", "0x1.56fad55555555p-27", "0x1.cafc155555555p-27",
     "0x1.9e60d55555555p-28", "0x1.e057c00000000p-27", "0x1.5f10000000000p-30",
     "0x1.9a66800000000p-28", "0x1.9400000000000p-31",
 ]
+GRID_SHA256 = "f54816f9b1824cc7fb6e638bfc99a4fd2d84deb5517f3896b9c59537829c323c"
 
 
 def record(*args, **kwargs):
@@ -148,13 +157,20 @@ def record(*args, **kwargs):
     except NoSolutionFoundError as exc:
         return [t.hex() for t in exc.residual_trace]
     p = sol.params
-    return tuple(v.hex() for v in (p.rabi, p.detuning, sol.c0, sol.oracle_gap))
+    return tuple(v.hex() for v in (p.rabi, p.detuning, sol.c0, sol.oracle_gap)) + (
+        sol.jacobian_rank, sol.termination_residual.hex())
 
 
 @pytest.mark.parametrize("key", sorted(GRID), ids=lambda k: "order%d%+d-eta%d" % k)
 def test_grid_input_bits(key):
     order, branch, i = key
     assert record(order, branch, float(ETAS[i])) == GRID[key]
+
+
+def test_whole_grid_digest():
+    records = [record(order, branch, float(eta))
+               for order in range(3, 9) for branch in (1, -1) for eta in ETAS]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == GRID_SHA256
 
 
 def test_fixed_anchor_bits():
