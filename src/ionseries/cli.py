@@ -101,11 +101,7 @@ def _sign(branch: int) -> str:
 
 
 class CliError(Exception):
-    """Usage-level error carrying the exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error: a missing flag, or a path that cannot be read or written."""
 
 
 # ---------------------------------------------------------------------------
@@ -425,32 +421,18 @@ def run_solve(args: argparse.Namespace) -> int:
     eta = args.eta[0]
     branches = args.branch
 
-    try:
-        if order == 1:
-            eps = -args.detuning / 2.0
-            sols = [case1_closed_form(eta, eps, b) for b in branches]
-        elif order == 2:
-            if args.omega is None:
-                raise CliError("solve --order 2 requires --omega")
-            sols = case2_closed_form(args.omega, eta, branches=branches)
-        else:
-            sols = [
-                terminate_general(
-                    order,
-                    b,
-                    eta,
-                    guess=args.guess,
-                    fix=args.fix,
-                    cutoff=args.cutoff,
-                )
-                for b in branches
-            ]
-    except NoSolutionFoundError as exc:
-        trace = ", ".join(_fmt(t) for t in (exc.residual_trace or []))
-        raise CliError(
-            f"solve: no convergence ({exc}); residual trace: [{trace}]",
-            code=EXIT_NO_CONVERGENCE,
-        )
+    if order == 1:
+        eps = -args.detuning / 2.0
+        sols = [case1_closed_form(eta, eps, b) for b in branches]
+    elif order == 2:
+        if args.omega is None:
+            raise CliError("solve --order 2 requires --omega")
+        sols = case2_closed_form(args.omega, eta, branches=branches)
+    else:
+        sols = [
+            terminate_general(order, b, eta, guess=args.guess, fix=args.fix, cutoff=args.cutoff)
+            for b in branches
+        ]
 
     payloads = [_solution_payload(s, args.cutoff, with_eq7=(order == 2)) for s in sols]
     doc = {"command": "solve", "solutions": payloads}
@@ -634,14 +616,15 @@ def run_cat(args: argparse.Namespace) -> int:
         "fidelity_vs_coherent": _jfloat(fidelity(v, coh)),
         "amplitudes": [[_jfloat(a.real), _jfloat(a.imag)] for a in v.amplitudes[:n_show]],
     }
-    _write_text(args.out, json.dumps(doc, indent=1) + "\n")
-    if args.wigner:
+    if args.wigner:  # before any write, so a refused grid leaves no artefact
         axis = args.wigner
         W = wigner_grid(v, np.array(axis), np.array(axis))
         labels = [_fmt(a) for a in axis]
         lines = ["x,p,w"]
         for p, row in zip(labels, W.tolist()):
             lines.extend(f"{x},{p},{_fmt(w)}" for x, w in zip(labels, row))
+    _write_text(args.out, json.dumps(doc, indent=1) + "\n")
+    if args.wigner:
         out = (args.out or "cat") + ".wigner.csv"
         _write_text(out, "\n".join(lines) + "\n")
         print(f"cat: wigner grid {len(axis)}x{len(axis)} -> {out}")
@@ -777,9 +760,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # argparse has printed the usage error; return its code
         return exc.code
+    except NoSolutionFoundError as exc:  # only terminate_general, under solve, raises it
+        trace = ", ".join(_fmt(t) for t in exc.residual_trace)
+        print(f"error: solve: no convergence ({exc}); residual trace: [{trace}]",
+              file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except OverflowError as exc:  # Python float arithmetic raises where numpy gives inf
+        print(f"error: an input is too large: float overflow {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (CliError, IonSeriesError, ValueError) as exc:  # ValueError: bad library input
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

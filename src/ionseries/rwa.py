@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    FockBasis,
-    OperatorMatrix,
-    _annihilation,
-    _check_hermitian,
-    _require_spin2,
-    _spin_blocks,
-)
+from .model import FockBasis, OperatorMatrix, _annihilation, _require_spin2, _spin_blocks
 
 __all__ = ["RwaQuery", "rwa_resonant_rabi", "rwa_energy", "rwa_hamiltonian"]
 
@@ -102,7 +95,6 @@ def rwa_hamiltonian(q: RwaQuery, eta: float, basis: FockBasis) -> OperatorMatrix
         down, up = shift - level, shift + level
     # g (a^dag sigma_- + a sigma_+): sigma_- = |down><up|, sigma_+ = |up><down|
     H = _spin_blocks(down, g * a.T, g * a, up)
-    _check_hermitian(H, "rwa_hamiltonian")
     return OperatorMatrix(
         entries=H,
         basis=basis,

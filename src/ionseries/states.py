@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisMismatchError, TruncationError
+from .errors import BasisMismatchError, IonSeriesError, TruncationError
 from .model import FockBasis, _displacement_entries
 
 __all__ = [
@@ -144,9 +144,9 @@ def cat_state(eta: float, basis: FockBasis) -> StateVector:
     Built directly as (|i*eta> + |0>) / sqrt(2 + 2 e^{-eta^2/2}); the
     construction is additionally cross-checked against the displaced pair
     D(i*eta/2)(|i*eta/2> + |-i*eta/2>), which equals it identically — an
-    overlap below 1 - 1e-9 raises TruncationError (the only way the identity
-    can fail numerically). The achieved overlap is stored in
-    ``meta["identity_overlap"]``.
+    overlap below 1 - 1e-9, or a pair whose amplitudes all underflow, raises
+    TruncationError (the only way the identity can fail numerically). The
+    achieved overlap is stored in ``meta["identity_overlap"]``.
     """
     _require_motional(basis, "cat_state")
     if eta < 0:
@@ -160,9 +160,9 @@ def cat_state(eta: float, basis: FockBasis) -> StateVector:
     half = 0.5j * eta
     pair = _coherent_amplitudes(half, basis.cutoff) + _coherent_amplitudes(-half, basis.cutoff)
     displaced = _displacement_entries(half, basis.cutoff) @ pair
-    displaced = displaced / np.linalg.norm(displaced)
-    overlap = float(abs(np.vdot(displaced, cat.amplitudes)))
-    if overlap < 1.0 - 1e-9:
+    norm = np.linalg.norm(displaced)
+    overlap = float(abs(np.vdot(displaced / norm, cat.amplitudes))) if norm > 0 else 0.0
+    if not overlap >= 1.0 - 1e-9:  # NaN fails too
         raise TruncationError(
             f"displaced-pair identity overlap {overlap!r} below 1 - 1e-9 at "
             f"cutoff {basis.cutoff}; increase the cutoff"
@@ -325,7 +325,8 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     Uses the parity form W(alpha) = (2/pi) * sum_n (-1)^n |<n|D(-alpha)|v>|^2.
     Returns shape (len(ps), len(xs)): row i is momentum ps[i], column j is
     position xs[j]. Integrates to ~1 (dx dp measure) over a grid that contains
-    the state's support.
+    the state's support. No state has |W| > 2/pi, so a value beyond
+    (2/pi)(1 + 1e-9), NaN included, raises IonSeriesError naming its point.
 
     The displaced amplitudes come from the column recurrence
     D(g)|j> = (a^dag - conj(g)) D(g)|j-1> / sqrt(j), seeded with the coherent
@@ -369,4 +370,12 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     _run_workers(run_chunk, starts,
                  [_WignerWorkspace(cutoff, chunk, tile) for _ in range(workers)])
+    # Far from the state the recurrence amplifies rounding error without bound.
+    k = int(np.argmax(np.abs(W)))
+    if not abs(W[k]) <= (2.0 / math.pi) * (1.0 + 1e-9):  # NaN fails too
+        raise IonSeriesError(
+            f"Wigner value {W[k]:.6g} at x={alpha[k].real:.6g}, p={alpha[k].imag:.6g} "
+            "exceeds 2/pi in size, which no state reaches: the displacement "
+            "recurrence has lost its accuracy this far from the state"
+        )
     return W.reshape(ps.size, xs.size)

@@ -393,10 +393,15 @@ class TestFlagsPerSubcommand:
             ["solve", "--order", "1", "--eta", "0.1:0.3:0.1"],
             ["cat", "--eta", "0.2:0.3:0.1"],
             ["validate", "--suite", "eq13", "--grid", f"{MAX_GRID_SIDE + 1}x1"],
+            ["fig", "--omega", "0.5", "--eta", "1e160"],
+            ["oracle", "--omega", "0.5", "--eta", "1e160"],
+            ["cat", "--eta", "100"],
+            ["cat", "--eta", "2.5", "--wigner=-8:8:2"],
         ],
         ids=["omega-nan", "omega-inf", "target-nan", "detuning-inf", "solve-detuning-nan",
              "perturb-nan", "grid-0x5", "eta-over-cap", "wigner-over-cap",
-             "oracle-eta-range", "solve-eta-range", "cat-eta-range", "grid-over-cap"],
+             "oracle-eta-range", "solve-eta-range", "cat-eta-range", "grid-over-cap",
+             "fig-eta-overflow", "oracle-eta-overflow", "cat-underflow", "wigner-far-grid"],
     )
     def test_rejected_before_running(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2

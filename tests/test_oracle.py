@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ionseries import model
 from ionseries.errors import NonHermitianError
 from ionseries.model import FockBasis, ModelParams, OperatorMatrix, build_h_transformed
 from ionseries.oracle import (
@@ -10,6 +11,7 @@ from ionseries.oracle import (
     cutoff_convergence,
     hermitian_eigensystem,
     nearest_eigenpair,
+    nearest_level,
     validate_series_solution,
 )
 from ionseries.series import case1_closed_form
@@ -51,6 +53,15 @@ class TestEigensystem:
         )
         V = spec.eigenvectors
         assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[1]))) < 1e-12
+
+    def test_one_hermiticity_pass_per_eigensolve(self, monkeypatch):
+        calls = []
+        defect = model._hermiticity_defect
+        monkeypatch.setattr(model, "_hermiticity_defect", lambda M: calls.append(1) or defect(M))
+        nearest_level(P_ANCHOR, 40, 0.5)
+        assert len(calls) == 1
+        validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
+        assert len(calls) == 2
 
     def test_interior_is_lowest_third(self):
         spec = Spectrum(np.arange(9.0), None, cutoff=9)

@@ -1,11 +1,12 @@
 """Motional states: coherent/cat constructions, fidelity, parity, Wigner grids."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ionseries.errors import BasisMismatchError, TruncationError
+from ionseries.errors import BasisMismatchError, IonSeriesError, TruncationError
 from ionseries.model import FockBasis
 from ionseries.states import (
     StateVector,
@@ -95,6 +96,13 @@ class TestCat:
         with pytest.raises(ValueError):
             cat_state(-0.5, motional100)
 
+    def test_underflowed_pair_raises_truncation(self):
+        """At eta = 100 every amplitude of |+-i eta/2> underflows to 0 at cutoff 150."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 on the way to the error
+            with pytest.raises(TruncationError, match="overlap 0.0"):
+                cat_state(100.0, FockBasis(cutoff=150, spin_dim=1))
+
 
 class TestFidelity:
     def test_self_fidelity(self, motional100):
@@ -180,6 +188,13 @@ class TestWigner:
         v = cat_state(2.0, FockBasis(cutoff=100, spin_dim=1))
         W = wigner_grid(v, np.linspace(-3, 3, 41), np.linspace(-1, 3, 41))
         assert float(W.min()) < -0.1
+
+    def test_refuses_values_no_state_has(self):
+        """Far from cat_state(2.5) the recurrence returns |W| far above 2/pi."""
+        v = cat_state(2.5, FockBasis(cutoff=150, spin_dim=1))
+        axis = np.arange(-8.0, 9.0, 2.0)
+        with pytest.raises(IonSeriesError, match="at x=-8, p=8 exceeds 2/pi"):
+            wigner_grid(v, axis, axis)
 
     def test_requires_motional_basis(self):
         amps = np.zeros(8)
