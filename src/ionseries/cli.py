@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import IonSeriesError, NoSolutionFoundError
-from .model import FockBasis, ModelParams, build_h_transformed, derive_params
+from .model import FockBasis, ModelParams, build_h_transformed, derive_params, displacement_matrix
 from .oracle import (
     EIGEN_GAP_TOL,
     hermitian_eigensystem,
@@ -246,16 +246,22 @@ def _nearest_scheme(omega: float) -> RwaQuery:
     return best
 
 
+def _finite_or_none(value: Optional[float]) -> Optional[float]:
+    """``value``, or None where it is None or not finite (an overflow at huge eta)."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def _order2_energy(omega: float, eta: float, branch: int, idx: int) -> Optional[float]:
     energies = case2_energies(omega, eta)
-    return None if energies is None else energies[branch][idx]
+    return None if energies is None else _finite_or_none(energies[branch][idx])
 
 
 def _fig_curves(omega: float):
     """The nearest resonance and the curves in row order: label -> (source, branch, n, f).
 
-    ``f(eta)`` is the curve's energy, or None where it is infeasible. The same
-    callables are sampled for the rows and bisected for the crossings.
+    ``f(eta)`` is the curve's energy, or None where it is infeasible or not
+    finite. The same callables are sampled for the rows and bisected for the
+    crossings.
     """
     scheme = _nearest_scheme(omega)
     src_rwa = "rwa_eq10" if scheme.scheme == "M" else "rwa_eq12"
@@ -264,9 +270,9 @@ def _fig_curves(omega: float):
         for sign in (1, -1):
             q = RwaQuery(scheme=scheme.scheme, index=scheme.index, n=n, sign=sign)
             curves[f"{src_rwa}[n={n},{_sign(sign)}]"] = (
-                src_rwa, _sign(sign), n, lambda eta, q=q: rwa_energy(q, eta)
+                src_rwa, _sign(sign), n, lambda eta, q=q: _finite_or_none(rwa_energy(q, eta))
             )
-    curves["eq13"] = ("eq13", "", 0, lambda eta: energy_identity_case1(omega, eta))
+    curves["eq13"] = ("eq13", "", 0, lambda eta: _finite_or_none(energy_identity_case1(omega, eta)))
     for source, branch in (("appendix_a3", 1), ("appendix_a4", -1)):
         for idx in (0, 1):
             curves[f"{source}[{idx}]"] = (
@@ -559,9 +565,13 @@ def _check_rwa(cutoff: int = 60) -> dict:
 
 def _check_cat(cutoff: int = 100) -> dict:
     worst = 1.0
+    basis = FockBasis(cutoff=cutoff, spin_dim=1)
     for eta in (0.2, 0.8):
-        v = cat_state(eta, FockBasis(cutoff=cutoff, spin_dim=1))
-        worst = min(worst, v.meta["identity_overlap"])
+        half = 0.5j * eta
+        pair = coherent_state(half, basis).amplitudes + coherent_state(-half, basis).amplitudes
+        displaced = displacement_matrix(half, basis).entries @ pair
+        displaced /= np.linalg.norm(displaced)
+        worst = min(worst, float(abs(np.vdot(displaced, cat_state(eta, basis).amplitudes))))
     return {"passed": bool(worst > 1.0 - 1e-9), "min_identity_overlap": _jfloat(worst)}
 
 

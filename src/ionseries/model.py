@@ -160,8 +160,9 @@ def _hermiticity_defect(M: np.ndarray) -> float:
     (inf == inf, but inf - inf is NaN, so infinite entries take the formula).
     """
     Mh = M.conj().T
-    if M.size and np.array_equal(M, Mh) and np.isfinite(M.sum()):
-        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries may overflow the sum
+        if M.size and np.array_equal(M, Mh) and np.isfinite(M.sum()):
+            return 0.0
     return float(np.max(np.abs(M - Mh)))
 
 

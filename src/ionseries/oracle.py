@@ -95,11 +95,8 @@ def hermitian_eigensystem(H: OperatorMatrix, want_vectors: bool = False) -> Spec
         raise NonHermitianError(
             f"matrix is not Hermitian (defect {defect:.3e}, limit 1e-10)", defect=defect
         )
-    if want_vectors:
-        w, v = np.linalg.eigh(M)
-        return Spectrum(w, v, cutoff=H.basis.cutoff)
-    w = np.linalg.eigvalsh(M)
-    return Spectrum(w, None, cutoff=H.basis.cutoff)
+    w, v = np.linalg.eigh(M) if want_vectors else (np.linalg.eigvalsh(M), None)
+    return Spectrum(w, v, cutoff=H.basis.cutoff)
 
 
 def nearest_eigenpair(s: Spectrum, target: float) -> EigenPair:
@@ -115,11 +112,7 @@ def nearest_eigenpair(s: Spectrum, target: float) -> EigenPair:
     # stable argmin returns the first (= smaller eigenvalue, ascending order) tie
     idx = int(np.argmin(dist))
     vector = s.eigenvectors[:, idx].copy() if s.eigenvectors is not None else None
-    if w.size == 1:
-        gap = float("inf")
-    else:
-        rest = np.delete(dist, idx)
-        gap = float(np.min(rest))
+    gap = float(np.min(np.delete(dist, idx), initial=np.inf))
     return EigenPair(value=float(w[idx]), vector=vector, gap_to_next=gap)
 
 

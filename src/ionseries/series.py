@@ -345,9 +345,9 @@ def _affine_conditions(
 def _case2_roots(q: QuadraticCoeffs) -> Optional[dict]:
     """Roots ``{+1: (X0, X1), -1: (Y0, Y1)}`` of A*X^2 + B*X + C and A*Y^2 - B*Y + C.
 
-    Index 0 takes +sqrt(discriminant); None when the discriminant is negative.
+    Index 0 takes +sqrt(discriminant); None when it is negative or NaN (inf - inf).
     """
-    if q.discriminant < 0:
+    if not q.discriminant >= 0:
         return None
     root = math.sqrt(q.discriminant)
     two_a = 2.0 * q.A
@@ -398,13 +398,13 @@ def case2_energies(rabi: float, eta: float) -> Optional[dict]:
     branch (eq. A4), in :func:`case2_closed_form`'s root order. None for a
     negative discriminant and at g = 1; eta = 0 is allowed.
     """
+    g2 = (eta / 2.0) ** 2  # OverflowError where g^2 is past the float range
     try:
         roots = _case2_roots(appendix_quadratic(rabi, eta))
     except DegenerateQuadraticError:
         return None
     if roots is None:
         return None
-    g2 = (eta / 2.0) ** 2
     return {
         1: tuple(2.0 + g2 + x for x in roots[1]),
         -1: tuple(2.0 + g2 - y for y in roots[-1]),

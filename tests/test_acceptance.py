@@ -293,6 +293,7 @@ def test_criterion_08_cat_identity_overlap():
         for eta in (0.2, 0.5, 0.8, 1.2):
             v = cat_state(eta, basis)
             assert v.meta["identity_overlap"] > 1.0 - 1e-9, (eta, v.meta)
+            assert conftest.displaced_pair_overlap(eta, basis) > 1.0 - 1e-9, eta
 
     run_criterion(8, "cat_identity_overlap", 5.0, body)
 

@@ -88,6 +88,14 @@ class TestFigure:
     def test_requires_omega(self, tmp_path):
         assert main(["fig", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_overflowing_energies_write_no_rows(self, tmp_path):
+        """At eta = 1e154 the rotating-wave ladder overflows and B^2 - 4AC is inf - inf."""
+        out = tmp_path / "fig.csv"
+        assert main(["fig", "--omega", "0.5", "--eta", "1e154", "--out", str(out)]) == 0
+        text = read(out).lower()
+        assert "nan" not in text and "inf" not in text
+        assert len(text.strip().split("\n")) > 1  # the finite rows stay
+
 
 class TestSolve:
     def test_order1_payload(self, tmp_path):
@@ -198,6 +206,18 @@ class TestCatCommand:
         wigner = read(tmp_path / "cat.json.wigner.csv").strip().split("\n")
         assert wigner[0] == "x,p,w"
         assert len(wigner) == 1 + 5 * 5
+
+
+    @pytest.mark.parametrize("argv", [["--eta", "40", "--cutoff", "2000"], ["--eta", "100"]])
+    def test_underflow_is_named(self, tmp_path, capsys, argv):
+        assert main(["cat", *argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "underflows in float64" in err[0] and "increase the cutoff" not in err[0]
+
+    def test_truncated_lobe_still_fails_on_tail_mass(self, tmp_path, capsys):
+        assert main(["cat", "--eta", "6", "--cutoff", "60", "--out", str(tmp_path / "x")]) == 2
+        assert "tail mass" in capsys.readouterr().err
 
 
 class TestOracleCommand:

@@ -368,10 +368,9 @@ def _use_cpus(monkeypatch, count):
     monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def _printed_by_cli_import(module):
-    """``True`` or ``False``: whether ``import ionseries.cli`` loads ``module``."""
+def _python_output(code):
+    """Stripped stdout of a fresh ``python -c code`` that imports this checkout's package."""
     src = Path(states.__file__).resolve().parents[1]
-    code = f"import sys, ionseries.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -380,6 +379,18 @@ def _printed_by_cli_import(module):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     return out.stdout.strip()
+
+
+def _printed_by_cli_import(module):
+    """``True`` or ``False``: whether ``import ionseries.cli`` loads ``module``."""
+    return _python_output(f"import sys, ionseries.cli; print({module!r} in sys.modules)")
+
+
+def test_cat_command_leaves_scipy_unloaded(tmp_path):
+    """``cat`` builds its state and Wigner grid without a matrix exponential."""
+    argv = ["cat", "--eta", "0.5", "--wigner=-2:2:0.05", "--out", str(tmp_path / "cat.json")]
+    code = f"import sys, ionseries.cli; print(ionseries.cli.main({argv!r}), 'scipy' in sys.modules)"
+    assert _python_output(code).splitlines()[-1] == "0 False"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,5 +1,7 @@
 """Diagonalization oracle: eigensystem wrapper, matching, convergence, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,14 @@ class TestEigensystem:
             with pytest.raises(NonHermitianError) as exc_info:
                 hermitian_eigensystem(M)
         assert np.isnan(exc_info.value.defect)
+
+    def test_no_warning_when_finite_entries_overflow_their_sum(self):
+        """Entries near 1e307 are finite, so the defect is 0.0 and numpy stays quiet."""
+        H = build_h_transformed(ModelParams(0.5, 1e154, 0.0), FockBasis(150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hermitian_eigensystem(H)
+            assert H.hermiticity_defect() == 0.0
 
     def test_eigenvalues_ascending(self):
         spec = hermitian_eigensystem(build_h_transformed(P_ANCHOR, FockBasis(40)))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import displaced_pair_overlap
 from ionseries.errors import BasisMismatchError, IonSeriesError, TruncationError
 from ionseries.model import FockBasis
 from ionseries.states import (
@@ -89,19 +90,30 @@ class TestCat:
 
     def test_displaced_pair_identity(self, motional100):
         for eta in (0.2, 0.5, 0.8, 1.2):
-            v = cat_state(eta, motional100)
-            assert v.meta["identity_overlap"] > 1.0 - 1e-9
+            assert displaced_pair_overlap(eta, motional100) > 1.0 - 1e-9
 
     def test_negative_eta_rejected(self, motional100):
         with pytest.raises(ValueError):
             cat_state(-0.5, motional100)
 
     def test_underflowed_pair_raises_truncation(self):
-        """At eta = 100 every amplitude of |+-i eta/2> underflows to 0 at cutoff 150."""
+        """At eta = 100 every amplitude of |i eta> underflows to 0, leaving |0>/sqrt(2)."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no 0/0 on the way to the error
-            with pytest.raises(TruncationError, match="overlap 0.0"):
+            with pytest.raises(TruncationError, match=r"overlap 0\.707106781186547"):
                 cat_state(100.0, FockBasis(cutoff=150, spin_dim=1))
+
+    @pytest.mark.parametrize("eta", [38.3, 38.6, 40.0])
+    def test_underflow_is_named_not_blamed_on_the_cutoff(self, eta):
+        """The lobe fits at cutoff 2000, but e^(-eta^2/2) is not a normal float64."""
+        with pytest.raises(TruncationError, match="underflows in float64") as info:
+            cat_state(eta, FockBasis(cutoff=2000, spin_dim=1))
+        assert "increase the cutoff" not in str(info.value)
+
+    def test_truncated_lobe_asks_for_a_larger_cutoff(self):
+        """The vacuum holds nearly all of the kept mass, so the top ten levels pass."""
+        with pytest.raises(TruncationError, match="more than 1e-9 from 1; increase the cutoff"):
+            cat_state(8.0, FockBasis(cutoff=20, spin_dim=1))
 
 
 class TestFidelity:

@@ -7,9 +7,13 @@ Usage:
 Runs ``python3 perfbench/run.py --workload all --seed SEED`` from the
 repository root, echoes its table, and writes the run's final JSON object
 together with the commit (``git rev-parse HEAD``), the seed and the UTC date.
+It then times every command of ``perfbench/workloads.py``'s ``CLI_COMMANDS``
+as CLI_REPEATS fresh ``python -m ionseries.cli`` processes in a temporary
+directory, in the benchmark's environment (one BLAS thread, ``src/`` on
+``PYTHONPATH``), and records the median wall time of each under ``cli_wall_s``.
 The commit names the checkout the run measured only when the tree is clean.
 Exits with the runner's code; nothing is written if the runner printed no
-JSON object. Standard library only.
+JSON object or a command exited with a code other than its expected one.
 """
 
 from __future__ import annotations
@@ -17,11 +21,39 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI_REPEATS = 5
+
+
+def cli_wall_times() -> dict:
+    """Median wall seconds of each CLI_COMMANDS id over CLI_REPEATS fresh processes."""
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    from perfbench.run import bench_env
+    from perfbench.workloads import CLI_COMMANDS
+
+    env, _ = bench_env()
+    medians = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for cid, args, expected, _artefacts in CLI_COMMANDS:
+            walls = []
+            for _ in range(CLI_REPEATS):
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "ionseries.cli", *args], cwd=workdir,
+                                      env=env, capture_output=True)
+                walls.append(time.perf_counter() - start)
+                if proc.returncode != expected:
+                    raise RuntimeError(f"{cid} exited {proc.returncode}, expected {expected}: "
+                                       f"{proc.stderr.decode(errors='replace').strip()}")
+            medians[cid] = round(statistics.median(walls), 4)
+            print(f"{cid:28s} {medians[cid]:.3f} s")
+    return medians
 
 
 def main(argv=None) -> int:
@@ -40,6 +72,11 @@ def main(argv=None) -> int:
     except (IndexError, json.JSONDecodeError):
         print("error: the benchmark printed no final JSON object", file=sys.stderr)
         return proc.returncode or 2
+    try:
+        cli_wall_s = cli_wall_times()
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                             text=True, check=True).stdout.strip()
     doc = {
@@ -48,6 +85,8 @@ def main(argv=None) -> int:
         "date_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "command": " ".join(["python3", *command]),
         "run": run,
+        "cli_repeats": CLI_REPEATS,
+        "cli_wall_s": cli_wall_s,
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
