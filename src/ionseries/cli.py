@@ -69,6 +69,9 @@ MIN_CUTOFF = 60
 MAX_CUTOFF = 2000
 #: Most points an --eta range may hold (the default fig sweep has 101).
 MAX_ETA_POINTS = 10_001
+#: Largest --eta: D(i eta / 2) needs about (eta / 2)^2 = 2500 levels at 100,
+#: more than MAX_CUTOFF, and far above it float64 overflows in H_I and fig.
+MAX_ETA = 100.0
 #: Most points per axis of a --wigner range. The CSV sidecar takes about 27
 #: bytes per grid point, so the cap holds it near 280 kB (101 x 101 points).
 MAX_WIGNER_POINTS = 101
@@ -706,8 +709,14 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     def eta(sp, default=None, max_points=1):
+        def etas(text: str) -> List[float]:
+            values = _range(max_points)(text)
+            if values[-1] > MAX_ETA:
+                raise argparse.ArgumentTypeError(f"must be <= MAX_ETA = {MAX_ETA:g}, got {text!r}")
+            return values
+
         sp.add_argument(
-            "--eta", type=_range(max_points), default=default,
+            "--eta", type=etas, default=default,
             help="eta value or min:max:step range" if max_points > 1 else "eta value",
         )
 

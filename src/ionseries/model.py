@@ -68,16 +68,12 @@ class ModelParams:
     detuning: float
 
     def __post_init__(self):
-        rabi = _require_finite("rabi", self.rabi)
-        lamb_dicke = _require_finite("lamb_dicke", self.lamb_dicke)
-        detuning = _require_finite("detuning", self.detuning)
-        if rabi < 0:
-            raise ValueError(f"rabi must be >= 0, got {rabi}")
-        if lamb_dicke < 0:
-            raise ValueError(f"lamb_dicke must be >= 0, got {lamb_dicke}")
-        object.__setattr__(self, "rabi", rabi)
-        object.__setattr__(self, "lamb_dicke", lamb_dicke)
-        object.__setattr__(self, "detuning", detuning)
+        for name in ("rabi", "lamb_dicke", "detuning"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        if self.rabi < 0:
+            raise ValueError(f"rabi must be >= 0, got {self.rabi}")
+        if self.lamb_dicke < 0:
+            raise ValueError(f"lamb_dicke must be >= 0, got {self.lamb_dicke}")
 
 
 @dataclass(frozen=True)

@@ -426,18 +426,13 @@ def eq7_residual(rabi: float, eta: float, eps: float, branch) -> float:
         raise SingularRecurrenceError("eq7_residual requires eta > 0")
     g = eta / 2.0
     t0, t_slope, u0, u_slope = _affine_conditions(2, branch, rabi, g, eps)
-    if _at_pole(t_slope, t0):
-        raise PoleError(
-            "pole of the c0 ratio from the c_2 - branch*b_2 condition",
-            location=f"rabi={rabi}, eta={eta}, eps={eps}, branch={branch:+d}",
-            value=abs(t_slope),
-        )
-    if _at_pole(u_slope, u0):
-        raise PoleError(
-            "pole of the c0 ratio from the b_3 condition",
-            location=f"rabi={rabi}, eta={eta}, eps={eps}, branch={branch:+d}",
-            value=abs(u_slope),
-        )
+    for condition, slope, offset in (("c_2 - branch*b_2", t_slope, t0), ("b_3", u_slope, u0)):
+        if _at_pole(slope, offset):
+            raise PoleError(
+                f"pole of the c0 ratio from the {condition} condition",
+                location=f"rabi={rabi}, eta={eta}, eps={eps}, branch={branch:+d}",
+                value=abs(slope),
+            )
     return abs((-t0 / t_slope) - (-u0 / u_slope))
 
 

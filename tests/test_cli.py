@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ionseries.cli import (
     MAX_CUTOFF,
+    MAX_ETA,
     MAX_ETA_POINTS,
     MAX_GRID_SIDE,
     MAX_WIGNER_POINTS,
@@ -88,13 +89,12 @@ class TestFigure:
     def test_requires_omega(self, tmp_path):
         assert main(["fig", "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_overflowing_energies_write_no_rows(self, tmp_path):
-        """At eta = 1e154 the rotating-wave ladder overflows and B^2 - 4AC is inf - inf."""
+    def test_overflowing_energies_write_no_rows(self, tmp_path, capsys):
+        """eta = 1e154, where the rotating-wave ladder would overflow, is over MAX_ETA."""
         out = tmp_path / "fig.csv"
-        assert main(["fig", "--omega", "0.5", "--eta", "1e154", "--out", str(out)]) == 0
-        text = read(out).lower()
-        assert "nan" not in text and "inf" not in text
-        assert len(text.strip().split("\n")) > 1  # the finite rows stay
+        assert main(["fig", "--omega", "0.5", "--eta", "1e154", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "MAX_ETA" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -429,6 +429,27 @@ class TestFlagsPerSubcommand:
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig", "--omega", "0.5", "--eta", "1e154"],
+        ["fig", "--omega", "0.5", "--eta", "0:200:1"],
+        ["solve", "--order", "1", "--eta", "1e154"],
+        ["cat", "--eta", "100.5"],
+        ["oracle", "--omega", "0.5", "--eta", "1e154"],
+    ], ids=["fig", "fig-range", "solve", "cat", "oracle"])
+    def test_eta_over_its_cap_names_max_eta(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+        err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(err) == 1 and f"MAX_ETA = {MAX_ETA:g}" in err[0]
+
+    def test_eta_cap_is_inclusive(self, capsys):
+        parse = _build_parser().parse_args
+        assert parse(["cat", "--eta", str(MAX_ETA)]).eta == [MAX_ETA]
+        assert parse(["fig", "--eta", f"0:{MAX_ETA}:1"]).eta[-1] == MAX_ETA
+        with pytest.raises(SystemExit):
+            parse(["cat", "--eta", repr(math.nextafter(MAX_ETA, math.inf))])
+        assert "MAX_ETA" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["oracle", "--omega", "0.5", "--count", "1"], ["cat"]])
     def test_one_point_eta_range_is_its_value(self, tmp_path, command):

@@ -15,13 +15,15 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from scipy.linalg import expm
 
-from ionseries import model, series, states
+from ionseries import model, oracle, series, states
+from ionseries.errors import TruncationError
 from ionseries.model import FockBasis, ModelParams, build_h_lab, build_h_transformed, derive_params
 from ionseries.rwa import RwaQuery, rwa_hamiltonian
 from ionseries.series import _raw_recurrence, case1_closed_form, case2_closed_form
@@ -363,8 +365,112 @@ class TestColumnMajorWigner:
         assert threading.active_count() == before
 
 
+def _report_bits(report):
+    """A ValidationReport with its floats as ``float.hex``, for byte comparison."""
+    return (report.residual.hex(), report.eigen_gap.hex(), report.overlap.hex(), report.passed,
+            report.inconclusive, report.recommended_cutoff)
+
+
+def _count_threads(monkeypatch):
+    """The list of threads validate_series_solution starts from now on."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(oracle, "threading", SimpleNamespace(Thread=Counted))
+    return started
+
+
+class TestOverlappedValidation:
+    """validate_series_solution runs series_to_fock on a worker beside its eigh."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_threaded_report_matches_in_turn_bits(self, monkeypatch, order):
+        sol = case1_closed_form(0.3, -0.2, 1) if order == 1 else case2_closed_form(0.5, 0.1)[0]
+        basis = FockBasis(150)
+        started = _count_threads(monkeypatch)
+        _use_cpus(monkeypatch, 1)
+        in_turn = _report_bits(oracle.validate_series_solution(sol, basis))
+        assert not started
+        _use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        threaded = _report_bits(oracle.validate_series_solution(sol, basis))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            switching = [_report_bits(oracle.validate_series_solution(sol, basis))
+                         for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 4
+        assert threading.active_count() == before
+        assert in_turn[3] and threaded == in_turn
+        assert switching == [in_turn] * 3
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_too_small_basis_stays_inconclusive(self, monkeypatch, cpus):
+        _use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        report = oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(8))
+        assert report.inconclusive and report.recommended_cutoff == 16
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_truncation_wins_over_eigensolve_error(self, monkeypatch, cpus):
+        def truncated(sol, basis):
+            raise TruncationError("tail mass")
+
+        monkeypatch.setattr(series, "series_to_fock", truncated)
+        monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
+        _use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        report = oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
+        assert report.inconclusive and report.recommended_cutoff == 120
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_eigensolve_error_reaches_caller(self, monkeypatch, cpus):
+        monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
+        _use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="eigensolve failed"):
+            oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_displacement_error_wins_over_eigensolve_error(self, monkeypatch, cpus):
+        def failing(sol, basis):
+            raise ValueError("displacement failed")
+
+        monkeypatch.setattr(series, "series_to_fock", failing)
+        monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
+        _use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="displacement failed"):
+            oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cutoff, cpus, threads", [
+        (150, 2, 1), (241, 2, 1), (242, 2, 0), (400, 2, 0), (400, 8, 0), (150, 1, 0)])
+    def test_thread_only_below_the_byte_budget_and_with_two_cpus(self, monkeypatch, cutoff,
+                                                                  cpus, threads):
+        started = _count_threads(monkeypatch)
+        _use_cpus(monkeypatch, cpus)
+        report = oracle.validate_series_solution(case1_closed_form(0.3, -0.2, 1), FockBasis(cutoff))
+        assert report.passed
+        assert len(started) == threads
+
+
+def _failing_eigensolve(H, want_vectors=False):
+    raise RuntimeError("eigensolve failed")
+
+
 def _use_cpus(monkeypatch, count):
-    """Make wigner_grid see ``count`` CPUs without changing the real affinity."""
+    """Make wigner_grid and validate_series_solution see ``count`` CPUs without
+    changing the real affinity."""
     monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 

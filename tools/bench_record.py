@@ -11,6 +11,9 @@ It then times every command of ``perfbench/workloads.py``'s ``CLI_COMMANDS``
 as CLI_REPEATS fresh ``python -m ionseries.cli`` processes in a temporary
 directory, in the benchmark's environment (one BLAS thread, ``src/`` on
 ``PYTHONPATH``), and records the median wall time of each under ``cli_wall_s``.
+Last, one fresh process in the same environment times LAYER_REPEATS in-process
+calls of each library layer in ``print_layer_times`` (after one untimed call,
+which pays the lazy imports) and records the medians under ``layer_s``.
 The commit names the checkout the run measured only when the tree is clean.
 Exits with the runner's code; nothing is written if the runner printed no
 JSON object or a command exited with a code other than its expected one.
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -30,11 +35,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI_REPEATS = 5
+LAYER_REPEATS = 7
 
 
 def cli_wall_times() -> dict:
     """Median wall seconds of each CLI_COMMANDS id over CLI_REPEATS fresh processes."""
-    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from perfbench.run import bench_env
     from perfbench.workloads import CLI_COMMANDS
 
@@ -56,11 +61,72 @@ def cli_wall_times() -> dict:
     return medians
 
 
+def print_layer_times() -> None:
+    """Print ``{layer: median seconds}`` as JSON on the last line of stdout.
+
+    The order-1 point (eta, eps) = (0.3, -0.2) is the solution at both
+    cutoffs; the fig sweep writes into the working directory.
+    """
+    import numpy as np
+
+    from ionseries import cli
+    from ionseries.model import FockBasis, build_h_transformed
+    from ionseries.oracle import hermitian_eigensystem, validate_series_solution
+    from ionseries.series import case1_closed_form, series_to_fock, terminate_general
+    from ionseries.states import cat_state, wigner_grid
+
+    sol = case1_closed_form(0.3, -0.2, 1)
+    layers = {}
+    for cutoff in (150, 400):
+        basis = FockBasis(cutoff)
+        H = build_h_transformed(sol.params, basis)
+        layers[f"build_h_transformed_c{cutoff}"] = functools.partial(
+            build_h_transformed, sol.params, basis)
+        layers[f"eigh_c{cutoff}"] = functools.partial(hermitian_eigensystem, H, True)
+        layers[f"series_to_fock_c{cutoff}"] = functools.partial(series_to_fock, sol, basis)
+        layers[f"validate_series_solution_c{cutoff}"] = functools.partial(
+            validate_series_solution, sol, basis)
+    layers["terminate_general_3_plus_0.3"] = functools.partial(terminate_general, 3, 1, 0.3)
+    layers["fig_omega0.5"] = functools.partial(
+        cli.main, ["fig", "--omega", "0.5", "--out", "fig.csv"])
+    cat, axis = cat_state(0.5, FockBasis(150, spin_dim=1)), np.linspace(-2.0, 2.0, 81)
+    layers["wigner_grid_cat0.5_81x81"] = functools.partial(wigner_grid, cat, axis, axis)
+    medians = {}
+    for name, call in layers.items():
+        call()
+        walls = []
+        for _ in range(LAYER_REPEATS):
+            start = time.perf_counter()
+            call()
+            walls.append(time.perf_counter() - start)
+        medians[name] = round(statistics.median(walls), 6)
+    print(json.dumps(medians))
+
+
+def layer_times() -> dict:
+    """``print_layer_times`` run in a fresh process in the benchmark's environment."""
+    from perfbench.run import bench_env
+
+    env, _ = bench_env()
+    env["PYTHONPATH"] += os.pathsep + str(ROOT / "tools")
+    code = "import bench_record; bench_record.print_layer_times()"
+    with tempfile.TemporaryDirectory() as workdir:
+        proc = subprocess.run([sys.executable, "-c", code], cwd=workdir, env=env,
+                              capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"layer timing exited {proc.returncode}: {proc.stderr.strip()}")
+    medians = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name, seconds in medians.items():
+        print(f"{name:36s} {seconds * 1e3:9.2f} ms")
+    return medians
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
     parser.add_argument("--seed", type=int, default=0, help="benchmark workload seed")
     args = parser.parse_args(argv)
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # for perfbench's commands and environment
 
     command = ["perfbench/run.py", "--workload", "all", "--seed", str(args.seed)]
     proc = subprocess.run([sys.executable, *command], cwd=ROOT, capture_output=True, text=True)
@@ -74,6 +140,7 @@ def main(argv=None) -> int:
         return proc.returncode or 2
     try:
         cli_wall_s = cli_wall_times()
+        layer_s = layer_times()
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -87,6 +154,8 @@ def main(argv=None) -> int:
         "run": run,
         "cli_repeats": CLI_REPEATS,
         "cli_wall_s": cli_wall_s,
+        "layer_repeats": LAYER_REPEATS,
+        "layer_s": layer_s,
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
