@@ -167,21 +167,26 @@ def cat_state(eta: float, basis: FockBasis) -> StateVector:
     return cat
 
 
+def _normalized(a: np.ndarray) -> np.ndarray:
+    """``a`` over its 2-norm; ValueError for the zero vector, as StateVector.normalize."""
+    n = np.linalg.norm(a)
+    if n == 0:
+        raise ValueError("cannot normalize the zero vector")
+    return a / n
+
+
 def fidelity(u: StateVector, v: StateVector) -> float:
     """|<u|v>|^2 after normalizing both states. Bases must match exactly."""
     if u.basis != v.basis:
         raise BasisMismatchError(
             f"fidelity between different bases: {u.basis} vs {v.basis}"
         )
-    un = u.amplitudes / np.linalg.norm(u.amplitudes)
-    vn = v.amplitudes / np.linalg.norm(v.amplitudes)
-    return float(abs(np.vdot(un, vn)) ** 2)
+    return float(abs(np.vdot(_normalized(u.amplitudes), _normalized(v.amplitudes))) ** 2)
 
 
 def parity(v: StateVector) -> float:
     """Expectation of (-1)^n over the motional index, traced over spin."""
-    a = v.amplitudes / np.linalg.norm(v.amplitudes)
-    probs = np.abs(a) ** 2
+    probs = np.abs(_normalized(v.amplitudes)) ** 2
     if v.basis.spin_dim == 2:
         probs = probs[0::2] + probs[1::2]
     signs = np.where(np.arange(probs.size) % 2 == 0, 1.0, -1.0)
@@ -335,21 +340,34 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     threads; numpy releases the interpreter lock inside each ufunc, so the
     threads overlap. Each grid point gets the same arithmetic whatever the
     tile, chunk or thread, so W does not depend on any of them.
+
+    When the normalized amplitudes satisfy conj(v_n) = (-1)^n v_n exactly, as
+    every cat_state's do (both lobes lie on the p axis), W(-x, p) = W(x, p):
+    only the distinct |x| columns are computed, and each is copied to x and
+    -x. The mirror maps g to -conj(g) and every recurrence term to
+    (-1)^n conj(term), and each step (complex products, real scalings,
+    differences, moduli) commutes exactly with those sign flips, as does
+    round-to-nearest, so the copy holds the bits the mirrored point would
+    get. Any other state takes the full grid.
     """
     _require_motional(v.basis, "wigner_grid")
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     if xs.ndim != 1 or ps.ndim != 1 or xs.size == 0 or ps.size == 0:
         raise ValueError("xs and ps must be nonempty 1-D grids")
-    amps = v.amplitudes / np.linalg.norm(v.amplitudes)
+    amps = _normalized(v.amplitudes)
     cutoff = v.basis.cutoff
 
     # trim trailing numerically-zero support of v
     support = np.nonzero(np.abs(amps) > 1e-14)[0]
     j_max = int(support[-1]) if support.size else 0
 
-    alpha = (xs[None, :] + 1j * ps[:, None]).ravel()  # grid points, row-major
-    gamma = -alpha
+    level_signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
+    if np.array_equal(np.conj(amps), level_signs * amps):  # W(-x, p) = W(x, p)
+        cols, back = np.unique(np.abs(xs), return_inverse=True)
+    else:
+        cols, back = xs, None
+    gamma = -(cols[None, :] + 1j * ps[:, None]).ravel()  # grid points, row-major
     G = gamma.size
     tile = min(G, max(1, _TILE_BYTES // (16 * cutoff)))
     chunk = min(G, _CHUNK_TILES * tile)
@@ -358,7 +376,7 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     inv_root = [0.0] + [1.0 / math.sqrt(n) for n in range(1, cutoff)]
     root_n = np.repeat(np.sqrt(np.arange(1, cutoff))[:, None], 2 * tile, axis=1)  # a tile's float columns
-    signs = np.repeat(np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)[:, None], tile, axis=1)
+    signs = np.repeat(level_signs[:, None], tile, axis=1)
     W = np.empty(G)
 
     def run_chunk(start, ws):
@@ -366,12 +384,16 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     _run_workers(run_chunk, starts,
                  [_WignerWorkspace(cutoff, chunk, tile) for _ in range(workers)])
+    W = W.reshape(ps.size, cols.size)
+    if back is not None:
+        W = W[:, back]
     # Far from the state the recurrence amplifies rounding error without bound.
-    k = int(np.argmax(np.abs(W)))
-    if not abs(W[k]) <= (2.0 / math.pi) * (1.0 + 1e-9):  # NaN fails too
+    i, j = divmod(int(np.argmax(np.abs(W))), xs.size)
+    if not abs(W[i, j]) <= (2.0 / math.pi) * (1.0 + 1e-9):  # NaN fails too
+        alpha = (xs[j:j + 1] + 1j * ps[i:i + 1])[0]  # as the full grid's point, signed zeros too
         raise IonSeriesError(
-            f"Wigner value {W[k]:.6g} at x={alpha[k].real:.6g}, p={alpha[k].imag:.6g} "
+            f"Wigner value {W[i, j]:.6g} at x={alpha.real:.6g}, p={alpha.imag:.6g} "
             "exceeds 2/pi in size, which no state reaches: the displacement "
             "recurrence has lost its accuracy this far from the state"
         )
-    return W.reshape(ps.size, xs.size)
+    return W

@@ -23,7 +23,7 @@ import pytest
 from scipy.linalg import expm
 
 from ionseries import model, oracle, series, states
-from ionseries.errors import TruncationError
+from ionseries.errors import IonSeriesError, TruncationError
 from ionseries.model import FockBasis, ModelParams, build_h_lab, build_h_transformed, derive_params
 from ionseries.rwa import RwaQuery, rwa_hamiltonian
 from ionseries.series import _raw_recurrence, case1_closed_form, case2_closed_form
@@ -293,7 +293,9 @@ class TestColumnMajorWigner:
         basis = FockBasis(cutoff=cutoff, spin_dim=1)
         chunk = states._CHUNK_TILES * max(1, states._TILE_BYTES // (16 * cutoff))
         cap = states._MAX_WORKERS
-        v = cat_state(1.7, basis)
+        # the cat evaluates only its distinct |x| columns; the coherent state
+        # is not mirror-invariant and evaluates every column
+        vs = [cat_state(1.7, basis), coherent_state(0.8 - 0.4j, basis)]
         made = []
 
         class CountedWorkspace(states._WignerWorkspace):
@@ -305,15 +307,17 @@ class TestColumnMajorWigner:
         # a chunk minus one point, one whole chunk, a chunk plus one point,
         # and fewer chunks than the worker cap
         shapes = [(1, chunk - 1), (1, chunk), (1, chunk + 1), (max(1, cap - 1), chunk)]
-        for n_p, n_x in shapes:
-            xs, ps = np.linspace(-3.0, 3.0, n_x), np.linspace(-2.0, 2.5, n_p)
-            reference = row_major_wigner(v, xs, ps).tobytes()
-            chunks = -(-n_p * n_x // chunk)
-            for cpus in (1, 2, cap + 1):
-                _use_cpus(monkeypatch, cpus)
-                made.clear()
-                assert wigner_grid(v, xs, ps).tobytes() == reference, (n_p, n_x, cpus)
-                assert len(made) == min(cpus, chunks, cap)
+        for v, mirrored in zip(vs, (True, False)):
+            for n_p, n_x in shapes:
+                xs, ps = np.linspace(-3.0, 3.0, n_x), np.linspace(-2.0, 2.5, n_p)
+                reference = row_major_wigner(v, xs, ps).tobytes()
+                columns = np.unique(np.abs(xs)).size if mirrored else n_x
+                chunks = -(-n_p * columns // chunk)
+                for cpus in (1, 2, cap + 1):
+                    _use_cpus(monkeypatch, cpus)
+                    made.clear()
+                    assert wigner_grid(v, xs, ps).tobytes() == reference, (n_p, n_x, cpus)
+                    assert len(made) == min(cpus, chunks, cap)
 
     def test_peak_memory_is_tile_bound(self, monkeypatch):
         v = cat_state(1.5, FockBasis(cutoff=150, spin_dim=1))
@@ -363,6 +367,98 @@ class TestColumnMajorWigner:
         with pytest.raises(RuntimeError, match="worker failed"):
             wigner_grid(v, axis, axis)
         assert threading.active_count() == before
+
+
+def _count_kernel_points(monkeypatch):
+    """The list of grid points each _wigner_chunk call evaluates from now on."""
+    evaluated = []
+    original = states._wigner_chunk
+
+    def counted(W, gamma, start, ws, *args):
+        evaluated.append(gamma[start:start + ws.seed.shape[1]].copy())
+        original(W, gamma, start, ws, *args)
+
+    monkeypatch.setattr(states, "_wigner_chunk", counted)
+    return evaluated
+
+
+class TestMirroredWigner:
+    """wigner_grid computes a mirror-invariant state's distinct |x| columns once."""
+
+    @staticmethod
+    def axes():
+        n = 16
+        return {
+            "symmetric": 0.125 * np.arange(-n, n + 1),
+            "cli": np.array([-2 + 0.05 * i for i in range(81)]),
+            "negative": np.linspace(-2.5, -0.1, 13),  # every column computed at its mirror
+        }
+
+    @pytest.mark.parametrize("cutoff", [40, 150])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.7, 2.5])
+    def test_cat_matches_row_major_bytes(self, eta, cutoff):
+        v = cat_state(eta, FockBasis(cutoff=cutoff, spin_dim=1))
+        ps = np.linspace(-1.5, eta + 1.5, 7)
+        for name, xs in self.axes().items():
+            W = wigner_grid(v, xs, ps)
+            assert W.shape == (ps.size, xs.size)
+            assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes(), (name, eta, cutoff)
+
+    def test_non_invariant_states_keep_their_bytes(self, monkeypatch):
+        basis = FockBasis(cutoff=40, spin_dim=1)
+        rng = np.random.default_rng(7)
+        mixed = np.zeros(40, dtype=complex)
+        mixed[:12] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        mixed[5] = 0.0
+        evaluated = _count_kernel_points(monkeypatch)
+        ps = np.linspace(-2.0, 2.5, 9)
+        for v in (coherent_state(0.8 - 0.4j, basis), StateVector(mixed, basis)):
+            for xs in self.axes().values():
+                evaluated.clear()
+                assert wigner_grid(v, xs, ps).tobytes() == row_major_wigner(v, xs, ps).tobytes()
+                assert sum(g.size for g in evaluated) == xs.size * ps.size
+
+    def test_every_cat_is_mirror_invariant(self):
+        """conj(v_n) = (-1)^n v_n holds exactly for the normalized cat amplitudes."""
+        built = 0
+        for cutoff in (60, 150, 400, 1000, 2000):
+            signs = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
+            for eta in np.linspace(0.0, 30.0, 31):
+                try:
+                    v = cat_state(eta, FockBasis(cutoff=cutoff, spin_dim=1))
+                except TruncationError:
+                    continue
+                amps = v.amplitudes / np.linalg.norm(v.amplitudes)
+                assert np.array_equal(np.conj(amps), signs * amps), (eta, cutoff)
+                built += 1
+        assert built > 60
+
+    @pytest.mark.parametrize("eta, cutoff", [(0.0, 40), (0.5, 150), (2.5, 150)])
+    def test_cat_evaluates_only_distinct_columns(self, monkeypatch, eta, cutoff):
+        v = cat_state(eta, FockBasis(cutoff=cutoff, spin_dim=1))
+        xs, ps = np.array([-2 + 0.05 * i for i in range(81)]), np.array([eta / 2, eta])
+        distinct = np.unique(np.abs(xs))
+        evaluated = _count_kernel_points(monkeypatch)
+        entered = []
+        original = states.wigner_grid
+
+        def counted_grid(*args):
+            entered.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(states, "wigner_grid", counted_grid)
+        W = states.wigner_grid(v, xs, ps)
+        assert len(entered) == 1 and W.size == xs.size * ps.size
+        points = np.concatenate(evaluated)
+        assert points.size == distinct.size * ps.size < xs.size * ps.size
+        assert np.array_equal(np.unique(-points.real), distinct)
+
+    def test_refusal_names_the_requested_point(self):
+        """The bound is checked on the full grid, so a mirrored column keeps its own x."""
+        v = cat_state(2.5, FockBasis(cutoff=150, spin_dim=1))
+        for xs, x in ((np.array([-8.0, 0.0]), "-8"), (np.array([0.0, 8.0]), "8")):
+            with pytest.raises(IonSeriesError, match=f"at x={x}, p=8 exceeds 2/pi"):
+                wigner_grid(v, xs, np.array([0.0, 8.0]))
 
 
 def _report_bits(report):

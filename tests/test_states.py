@@ -133,6 +133,13 @@ class TestFidelity:
         assert f == pytest.approx((1.0 + math.exp(-0.125)) / 2.0, abs=1e-12)
         assert f == pytest.approx(0.9412484512922977, abs=1e-12)
 
+    def test_zero_vector_is_refused(self, motional100):
+        zero = StateVector(np.zeros(100), motional100)
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            fidelity(zero, coherent_state(0.2, motional100))
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            fidelity(coherent_state(0.2, motional100), zero)
+
     def test_basis_mismatch(self, motional100):
         small = coherent_state(0.2, FockBasis(cutoff=80, spin_dim=1))
         big = coherent_state(0.2, motional100)
@@ -159,6 +166,22 @@ class TestParity:
         assert parity(cat_state(eta, motional100)) == pytest.approx(
             0.8954926991520814, abs=1e-13
         )
+
+    def test_zero_vector_is_refused(self):
+        zero = StateVector(np.zeros(20), FockBasis(20, spin_dim=1))
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            parity(zero)
+
+    def test_unnormalized_vectors_keep_their_bits(self):
+        """Normalizing inside parity and fidelity divides by the norm, as before."""
+        rng = np.random.default_rng(5)
+        basis = FockBasis(30, spin_dim=1)
+        u, w = (StateVector(3.7 * (rng.standard_normal(30) + 1j * rng.standard_normal(30)), basis)
+                for _ in range(2))
+        un, wn = (x.amplitudes / np.linalg.norm(x.amplitudes) for x in (u, w))
+        signs = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
+        assert parity(u) == float(np.dot(signs, np.abs(un) ** 2))
+        assert fidelity(u, w) == float(abs(np.vdot(un, wn)) ** 2)
 
     def test_traces_over_spin(self):
         basis = FockBasis(cutoff=4, spin_dim=2)
@@ -214,6 +237,11 @@ class TestWigner:
         v = StateVector(amps, FockBasis(cutoff=4, spin_dim=2))
         with pytest.raises(BasisMismatchError):
             wigner_grid(v, np.array([0.0]), np.array([0.0]))
+
+    def test_zero_vector_is_refused(self):
+        zero = StateVector(np.zeros(20), FockBasis(20, spin_dim=1))
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            wigner_grid(zero, np.array([0.0]), np.array([0.0]))
 
     def test_rejects_empty_grid(self, motional100):
         v = coherent_state(0.0, motional100)

@@ -65,7 +65,9 @@ def print_layer_times() -> None:
     """Print ``{layer: median seconds}`` as JSON on the last line of stdout.
 
     The order-1 point (eta, eps) = (0.3, -0.2) is the solution at both
-    cutoffs; the fig sweep writes into the working directory.
+    cutoffs; the fig sweep writes into the working directory. The Wigner
+    layers time an 81 x 81 grid like ``cat --eta 0.5 --wigner=-2:2:0.05`` and
+    one grid of the ``phase_space`` workload.
     """
     import numpy as np
 
@@ -91,6 +93,10 @@ def print_layer_times() -> None:
         cli.main, ["fig", "--omega", "0.5", "--out", "fig.csv"])
     cat, axis = cat_state(0.5, FockBasis(150, spin_dim=1)), np.linspace(-2.0, 2.0, 81)
     layers["wigner_grid_cat0.5_81x81"] = functools.partial(wigner_grid, cat, axis, axis)
+    # phase_space's grid at eta 2.5, step 0.125: margin 3 around both lobes, 69 x 69 points
+    cat, xs, ps = cat_state(2.5, FockBasis(150, spin_dim=1)), np.arange(-34, 35), np.arange(-24, 45)
+    layers["wigner_grid_cat2.5_phase_space"] = functools.partial(
+        wigner_grid, cat, 0.125 * xs, 0.125 * ps)
     medians = {}
     for name, call in layers.items():
         call()
