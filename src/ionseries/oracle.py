@@ -87,6 +87,10 @@ class ValidationReport:
     inconclusive: bool = False
     recommended_cutoff: Optional[int] = None
 
+    def fields(self) -> dict:
+        """The ``residual``, ``eigen_gap`` and ``overlap`` entries of a report document."""
+        return {"residual": self.residual, "eigen_gap": self.eigen_gap, "overlap": self.overlap}
+
 
 def hermitian_eigensystem(H: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
     """Full ascending eigensystem of a Hermitian operator.

@@ -13,18 +13,28 @@ so the spectrum splits into 2x2 sectors spanned by |n+1, lower> and
 |n, upper>; the closed forms below are those sector eigenvalues. The Fock
 label n >= 0 indexes the doublet (the unpaired ground level |0, lower> is not
 covered by the closed form).
+
+The ``fig`` comparison lives here too: the resonance nearest a Rabi frequency,
+the curve family that sets its rotating-wave doublets beside the order-1 and
+order-2 series energies, and the crossings of the two kinds of curve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
 from .model import FockBasis, OperatorMatrix, _annihilation, _require_spin2, _spin_blocks
+from .series import _branch_mark, case2_energies, energy_identity_case1
 
-__all__ = ["RwaQuery", "rwa_resonant_rabi", "rwa_energy", "rwa_hamiltonian"]
+__all__ = [
+    "RwaQuery", "rwa_resonant_rabi", "rwa_energy", "rwa_hamiltonian",
+    "nearest_scheme", "fig_curves", "find_crossings",
+]
 
 
 @dataclass(frozen=True)
@@ -95,8 +105,84 @@ def rwa_hamiltonian(q: RwaQuery, eta: float, basis: FockBasis) -> OperatorMatrix
         down, up = shift - level, shift + level
     # g (a^dag sigma_- + a sigma_+): sigma_- = |down><up|, sigma_+ = |up><down|
     H = _spin_blocks(down, g * a.T, g * a, up)
-    return OperatorMatrix(
-        entries=H,
-        basis=basis,
-        meta={"scheme": q.scheme, "index": q.index, "eta": eta},
-    )
+    meta = {"scheme": q.scheme, "index": q.index, "eta": eta}
+    return OperatorMatrix(entries=H, basis=basis, meta=meta)
+
+
+def nearest_scheme(omega: float) -> RwaQuery:
+    """The resonance M=1..6 or K=1..6 nearest the Rabi frequency; ties prefer M."""
+    queries = [RwaQuery(scheme=s, index=i) for s in ("M", "K") for i in range(1, 7)]
+    best = queries[0]
+    for q in queries[1:]:
+        if abs(omega - rwa_resonant_rabi(q)) < abs(omega - rwa_resonant_rabi(best)) - 1e-15:
+            best = q
+    return best
+
+
+def _finite_or_none(value):
+    """``value``, or None where it is None or not finite (an overflow at huge eta)."""
+    return value if value is not None and math.isfinite(value) else None
+
+
+def fig_curves(omega: float):
+    """The nearest resonance and the curves in row order: label -> (source, branch, n, f).
+
+    ``f(eta)`` is the curve's energy, or None where it is infeasible (no real
+    order-2 root) or not finite (an overflow at huge eta). The same callables
+    are sampled for the rows and bisected for the crossings.
+    """
+    scheme = nearest_scheme(omega)
+    src_rwa = "rwa_eq10" if scheme.scheme == "M" else "rwa_eq12"
+    curves = {}
+    for n in range(0, 7):
+        for sign in (1, -1):
+            q = RwaQuery(scheme=scheme.scheme, index=scheme.index, n=n, sign=sign)
+            mark = _branch_mark(sign)
+            curves[f"{src_rwa}[n={n},{mark}]"] = (
+                src_rwa, mark, n, lambda eta, q=q: _finite_or_none(rwa_energy(q, eta)))
+    curves["eq13"] = ("eq13", "", 0, lambda eta: _finite_or_none(energy_identity_case1(omega, eta)))
+    for source, branch in (("appendix_a3", 1), ("appendix_a4", -1)):
+        for idx in (0, 1):
+            curves[f"{source}[{idx}]"] = (
+                source, _branch_mark(branch), idx,
+                lambda eta, b=branch, i=idx: _finite_or_none(
+                    (case2_energies(omega, eta) or {b: (None, None)})[b][i]
+                ),
+            )
+    return scheme, curves
+
+
+def find_crossings(etas, curves, values) -> List[Tuple[float, float, str, str]]:
+    """Crossings ``(eta, energy, rwa label, other label)`` of rotating-wave and series curves.
+
+    ``values[label]`` holds the curve sampled on ``etas``; a sign change of
+    (rwa - other) between neighbours is bisected to 1e-8 in eta. Listed per
+    curve pair in grid order, unsorted.
+    """
+    rwa_labels = [label for label, c in curves.items() if c[0].startswith("rwa_")]
+    crossings = []
+    for rl, ol in itertools.product(rwa_labels, [lb for lb in curves if lb not in rwa_labels]):
+        f_rwa, f_other, rv, ov = curves[rl][3], curves[ol][3], values[rl], values[ol]
+        for i in range(len(etas) - 1):
+            if None in (rv[i], rv[i + 1], ov[i], ov[i + 1]):
+                continue
+            f0, f1 = rv[i] - ov[i], rv[i + 1] - ov[i + 1]
+            if f0 == 0.0:
+                crossings.append((etas[i], rv[i], rl, ol))
+            elif f0 * f1 < 0:
+                lo, hi, flo = etas[i], etas[i + 1], f0
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    other = f_other(mid)
+                    if other is None:
+                        break
+                    fm = f_rwa(mid) - other
+                    if flo * fm <= 0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fm
+                    if hi - lo < 1e-8:
+                        break
+                eta_c = 0.5 * (lo + hi)
+                crossings.append((eta_c, f_rwa(eta_c), rl, ol))
+    return crossings

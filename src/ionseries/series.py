@@ -85,6 +85,11 @@ def _norm_branch(branch) -> int:
     raise ValueError(f"branch must be +1 or -1 (or '+'/'-'), got {branch!r}")
 
 
+def _branch_mark(branch: int) -> str:
+    """The ``+``/``-`` label of a branch, as the CLI documents print it."""
+    return "+" if branch == 1 else "-"
+
+
 # ---------------------------------------------------------------------------
 # recurrences
 # ---------------------------------------------------------------------------

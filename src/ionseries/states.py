@@ -130,10 +130,14 @@ def coherent_state(gamma: complex, basis: FockBasis) -> StateVector:
 
     Amplitudes follow the closed form gamma^n e^{-|gamma|^2/2}/sqrt(n!); a
     truncation deficit inside the tail-mass budget is renormalized away, and a
-    larger one raises TruncationError.
+    larger one raises TruncationError, as does an e^{-|gamma|^2/2} that
+    underflows to 0 (|gamma| above about 38.6), which leaves a zero vector.
     """
     _require_motional(basis, "coherent_state")
     a = _coherent_amplitudes(complex(gamma), basis.cutoff)
+    if a[0] == 0.0:  # a zero vector has no tail mass for the budget to catch
+        raise TruncationError(f"coherent state |gamma|={abs(gamma):.3g}: e^(-|gamma|^2/2) "
+                              "underflows to 0 in float64, which no cutoff mends")
     state = StateVector(amplitudes=a, basis=basis)
     return _within_tail_budget(state, f"coherent state |gamma|={abs(gamma):.3g}").normalize()
 

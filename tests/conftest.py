@@ -25,19 +25,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-def displaced_pair_overlap(eta: float, basis) -> float:
-    """|<cat_state(eta)|D(i eta/2)(|i eta/2> + |-i eta/2>)>| after normalizing, with a dense D.
-
-    The coherent-state algebra makes the displaced pair equal |i eta> + |0>, so
-    this checks ``cat_state`` against a second, matrix-exponential construction.
-    """
-    half = 0.5j * eta
-    pair = ions.coherent_state(half, basis).amplitudes + ions.coherent_state(-half, basis).amplitudes
-    displaced = ions.displacement_matrix(half, basis).entries @ pair
-    displaced /= np.linalg.norm(displaced)
-    return float(abs(np.vdot(displaced, ions.cat_state(eta, basis).amplitudes)))
-
-
 @pytest.fixture(scope="session")
 def motional100():
     return ions.FockBasis(cutoff=100, spin_dim=1)

@@ -36,6 +36,7 @@ from ionseries.series import (
     terminate_general,
 )
 from ionseries.states import cat_state
+from ionseries.validate import displaced_pair_overlap
 
 # Where the M=1 rotating-wave branch (0, +) crosses the order-1 identity curve
 # at omega = 0.5: the root of 64 eta^4 - 112 eta^2 + 17 that the documented
@@ -293,7 +294,7 @@ def test_criterion_08_cat_identity_overlap():
         for eta in (0.2, 0.5, 0.8, 1.2):
             v = cat_state(eta, basis)
             assert v.meta["identity_overlap"] > 1.0 - 1e-9, (eta, v.meta)
-            assert conftest.displaced_pair_overlap(eta, basis) > 1.0 - 1e-9, eta
+            assert displaced_pair_overlap(eta, basis) > 1.0 - 1e-9, eta
 
     run_criterion(8, "cat_identity_overlap", 5.0, body)
 

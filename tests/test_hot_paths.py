@@ -588,9 +588,19 @@ def _printed_by_cli_import(module):
     return _python_output(f"import sys, ionseries.cli; print({module!r} in sys.modules)")
 
 
-def test_cat_command_leaves_scipy_unloaded(tmp_path):
-    """``cat`` builds its state and Wigner grid without a matrix exponential."""
-    argv = ["cat", "--eta", "0.5", "--wigner=-2:2:0.05", "--out", str(tmp_path / "cat.json")]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cat", "--eta", "0.5", "--wigner=-2:2:0.05"],
+        ["fig", "--omega", "0.5"],
+        ["oracle", "--omega", "0.5", "--eta", "0.1"],
+    ],
+    ids=["cat", "fig", "oracle"],
+)
+def test_command_leaves_scipy_unloaded(tmp_path, argv):
+    """``cat`` builds its state and Wigner grid without a matrix exponential, ``fig``
+    needs none for its curves and crossings, and ``oracle`` none for its eigensolve."""
+    argv = [*argv, "--out", str(tmp_path / "out.json")]
     code = f"import sys, ionseries.cli; print(ionseries.cli.main({argv!r}), 'scipy' in sys.modules)"
     assert _python_output(code).splitlines()[-1] == "0 False"
 

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import displaced_pair_overlap
 from ionseries.errors import BasisMismatchError, IonSeriesError, TruncationError
 from ionseries.model import FockBasis
 from ionseries.states import (
@@ -17,6 +16,7 @@ from ionseries.states import (
     parity,
     wigner_grid,
 )
+from ionseries.validate import displaced_pair_overlap
 
 
 class TestStateVector:
@@ -67,6 +67,14 @@ class TestCoherent:
     def test_requires_motional_basis(self):
         with pytest.raises(BasisMismatchError):
             coherent_state(0.5, FockBasis(cutoff=60, spin_dim=2))
+
+    def test_underflowing_weight_is_named(self):
+        """e^(-|gamma|^2/2) is subnormal at |gamma| = 38.5 and 0 at 38.7; the lobe fits
+        at cutoff 2000 either way, so the refusal names the underflow, not the cutoff."""
+        basis = FockBasis(cutoff=2000, spin_dim=1)
+        assert coherent_state(38.5j, basis).norm == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(TruncationError, match="underflows to 0 in float64"):
+            coherent_state(38.7j, basis)
 
 
 class TestCat:

@@ -14,6 +14,9 @@ directory, in the benchmark's environment (one BLAS thread, ``src/`` on
 Last, one fresh process in the same environment times LAYER_REPEATS in-process
 calls of each library layer in ``print_layer_times`` (after one untimed call,
 which pays the lazy imports) and records the medians under ``layer_s``.
+Another such process times LAYER_REPEATS calls of the two machine probes of
+``print_calibration`` and records their medians under ``calibration``: dividing a record's times by
+them compares records made in a slow and a fast phase of the same VM.
 The commit names the checkout the run measured only when the tree is clean.
 Exits with the runner's code; nothing is written if the runner printed no
 JSON object or a command exited with a code other than its expected one.
@@ -97,30 +100,59 @@ def print_layer_times() -> None:
     cat, xs, ps = cat_state(2.5, FockBasis(150, spin_dim=1)), np.arange(-34, 35), np.arange(-24, 45)
     layers["wigner_grid_cat2.5_phase_space"] = functools.partial(
         wigner_grid, cat, 0.125 * xs, 0.125 * ps)
+    print(json.dumps(_medians(layers, LAYER_REPEATS)))
+
+
+def print_calibration() -> None:
+    """Print ``{probe: median seconds}`` as JSON on the last line of stdout.
+
+    The probes time the machine, not ionseries: ``eigvalsh_300`` is
+    ``numpy.linalg.eigvalsh`` of a seeded symmetric 300 x 300 matrix (BLAS and
+    LAPACK), ``python_float_loop`` 200000 steps of a pure-Python float
+    recurrence (the interpreter).
+    """
+    import numpy as np
+
+    a = np.random.default_rng(300).standard_normal((300, 300))
+
+    def float_loop():
+        x = 0.0
+        for i in range(200_000):
+            x = 0.999 * x + 1e-6 * i
+        return x
+
+    probes = {"eigvalsh_300": functools.partial(np.linalg.eigvalsh, a + a.T),
+              "python_float_loop": float_loop}
+    print(json.dumps(_medians(probes, LAYER_REPEATS)))
+
+
+def _medians(calls: dict, repeats: int) -> dict:
+    """Median wall seconds of ``repeats`` calls of each, after one untimed call."""
     medians = {}
-    for name, call in layers.items():
+    for name, call in calls.items():
         call()
         walls = []
-        for _ in range(LAYER_REPEATS):
+        for _ in range(repeats):
             start = time.perf_counter()
             call()
             walls.append(time.perf_counter() - start)
         medians[name] = round(statistics.median(walls), 6)
-    print(json.dumps(medians))
+    return medians
 
 
-def layer_times() -> dict:
-    """``print_layer_times`` run in a fresh process in the benchmark's environment."""
+def fresh_process_times(printer: str) -> dict:
+    """``bench_record.<printer>()``'s medians, run in a fresh process in the
+    benchmark's environment, echoed one per line."""
     from perfbench.run import bench_env
 
     env, _ = bench_env()
     env["PYTHONPATH"] += os.pathsep + str(ROOT / "tools")
-    code = "import bench_record; bench_record.print_layer_times()"
+    code = f"import bench_record; bench_record.{printer}()"
     with tempfile.TemporaryDirectory() as workdir:
         proc = subprocess.run([sys.executable, "-c", code], cwd=workdir, env=env,
                               capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"layer timing exited {proc.returncode}: {proc.stderr.strip()}")
+        raise RuntimeError(f"{printer} exited {proc.returncode}: {proc.stderr.strip()}")
     medians = json.loads(proc.stdout.strip().splitlines()[-1])
     for name, seconds in medians.items():
         print(f"{name:36s} {seconds * 1e3:9.2f} ms")
@@ -146,7 +178,8 @@ def main(argv=None) -> int:
         return proc.returncode or 2
     try:
         cli_wall_s = cli_wall_times()
-        layer_s = layer_times()
+        layer_s = fresh_process_times("print_layer_times")
+        calibration = fresh_process_times("print_calibration")
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -162,6 +195,7 @@ def main(argv=None) -> int:
         "cli_wall_s": cli_wall_s,
         "layer_repeats": LAYER_REPEATS,
         "layer_s": layer_s,
+        "calibration": calibration,
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
