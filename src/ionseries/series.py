@@ -116,30 +116,50 @@ class SeriesCoefficients:
             raise ValueError("series coefficients must be finite")
 
 
-def _raw_recurrence(
-    E: float, z: float, rabi: float, g: float, eps: float, c0: float, n_max: int
-) -> Tuple[list, list]:
-    """Generate b_0..b_{n_max}, c_0..c_{n_max} from the two coupled recurrences.
+def _roll_recurrence(
+    E: float, z: float, rabi: float, g: float, eps: float, c0: float, n_max: int,
+    b: Optional[list] = None, c: Optional[list] = None,
+) -> Tuple[float, float, float, float]:
+    """Run the two coupled recurrences for n = 0..n_max-1, keeping two steps.
 
     Seeds: b_0 = 1, c_0 = c0, and both coefficients vanish at negative index.
-    The loop runs on Python floats, which round exactly as float64 arrays do,
-    and returns them as two lists. The hoisted invariants keep the left-to-right
-    evaluation order of the full expressions.
+    Returns (b_{n_max-1}, c_{n_max-1}, b_{n_max}, c_{n_max}); when lists ``b``
+    and ``c`` are given, b_1..b_{n_max} and c_1..c_{n_max} are appended to them.
+    The arguments must be Python floats (n_max an int): they round exactly as
+    float64 arrays do. The hoisted invariants keep the left-to-right
+    evaluation order of the full expressions, and the step index n is kept as
+    a float, which is exact and lets every operation run float by float.
     """
-    E, z, rabi, g, eps = float(E), float(z), float(rabi), float(g), float(eps)
     e_up = E + rabi / 2.0
     e_down = E - rabi / 2.0
     gg = g * g
     shift = g * z - eps
+    b_prev = c_prev = 0.0
+    b_n, c_n = 1.0, c0
+    n = 0.0
+    for _ in range(n_max):
+        n_next = n + 1.0
+        denom = g * n_next
+        b_next = ((e_up - n - gg) * c_n + shift * b_n - g * b_prev + z * c_prev) / denom
+        c_next = ((e_down - n - gg) * b_n + shift * c_n - g * c_prev + z * b_prev) / denom
+        b_prev = b_n
+        c_prev = c_n
+        b_n = b_next
+        c_n = c_next
+        n = n_next
+        if b is not None:
+            b.append(b_n)
+            c.append(c_n)
+    return b_prev, c_prev, b_n, c_n
+
+
+def _raw_recurrence(
+    E: float, z: float, rabi: float, g: float, eps: float, c0: float, n_max: int
+) -> Tuple[list, list]:
+    """b_0..b_{n_max} and c_0..c_{n_max} from the coupled recurrences, as two lists."""
     b = [1.0]
     c = [float(c0)]
-    b_prev = c_prev = 0.0
-    for n in range(n_max):
-        b_n, c_n = b[n], c[n]
-        denom = g * (n + 1)
-        b.append(((e_up - n - gg) * c_n + shift * b_n - g * b_prev + z * c_prev) / denom)
-        c.append(((e_down - n - gg) * b_n + shift * c_n - g * c_prev + z * b_prev) / denom)
-        b_prev, c_prev = b_n, c_n
+    _roll_recurrence(float(E), float(z), float(rabi), float(g), float(eps), c[0], int(n_max), b, c)
     return b, c
 
 
@@ -336,14 +356,13 @@ def _affine_conditions(
     Both are exactly affine because every coefficient generated by the
     recurrences is affine in the seed c0.
     """
+    rabi, g, eps = float(rabi), float(g), float(eps)
     E = order + branch * eps
     z = branch * g
-    b0v, c0v = _raw_recurrence(E, z, rabi, g, eps, 0.0, order + 1)
-    b1v, c1v = _raw_recurrence(E, z, rabi, g, eps, 1.0, order + 1)
-    t0 = c0v[order] - branch * b0v[order]
-    t1 = c1v[order] - branch * b1v[order]
-    u0 = b0v[order + 1]
-    u1 = b1v[order + 1]
+    b_n0, c_n0, u0, _ = _roll_recurrence(E, z, rabi, g, eps, 0.0, order + 1)
+    b_n1, c_n1, u1, _ = _roll_recurrence(E, z, rabi, g, eps, 1.0, order + 1)
+    t0 = c_n0 - branch * b_n0
+    t1 = c_n1 - branch * b_n1
     return t0, t1 - t0, u0, u1 - u0
 
 
@@ -462,17 +481,23 @@ _STEP_TOL = 1e-12
 _MAX_ITER = 200
 
 
-def _fd_jacobian(f, x: list, free) -> np.ndarray:
-    """Central finite-difference Jacobian of the 3-residual ``f`` in the ``free`` entries of x."""
-    J = np.empty((3, len(free)))
-    for j, k in enumerate(free):
-        h = 1e-7 * max(1.0, abs(x[k]))
-        xp = list(x)
-        xm = list(x)
-        xp[k] += h
-        xm[k] -= h
-        J[:, j] = (f(xp) - f(xm)) / (2.0 * h)
-    return J
+def _max_abs(values) -> float:
+    """``np.max(np.abs(values))`` on floats: NaN when any entry is NaN.
+
+    Bare ``max`` would drop a NaN that is not its first argument.
+    """
+    magnitudes = [abs(v) for v in values]
+    return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
+
+
+def _norm(values) -> float:
+    """``np.linalg.norm`` of a float vector: the square root of ``ndarray.dot``.
+
+    OpenBLAS's dot may fuse multiply-adds, so a Python sum of squares can round
+    differently; the Newton path depends on every bit of this norm.
+    """
+    v = np.asarray(values, dtype=float)
+    return math.sqrt(v.dot(v))
 
 
 def terminate_general(
@@ -494,8 +519,9 @@ def terminate_general(
     one-dimensional curves; damped Gauss-Newton with minimum-norm
     least-squares steps and finite-difference Jacobians converges to the
     nearest manifold point. Pass ``fix="eps"`` or ``fix="rabi"`` to pin that
-    parameter at its value in ``guess`` and recover the isolated point the
-    closed forms parametrize (needed for exact anchor recovery).
+    parameter at its value in ``guess``, in every start, and recover the
+    isolated point the closed forms parametrize (needed for exact anchor
+    recovery).
 
     ``guess`` is (rabi, eps, c0), tried first and then from 7 seeded jitters
     of itself; without one, 8 heuristic seeds are tried. The solution's energy
@@ -515,13 +541,32 @@ def terminate_general(
         raise ValueError("fix requires an explicit guess supplying the pinned value")
     g = eta / 2.0
     free = [k for k, name in enumerate(("rabi", "eps", "c0")) if name != fix]
+    z = branch * g
 
-    # x is (rabi, eps, c0) as Python floats; each update, difference and norm
-    # rounds exactly as the same float64 array expression does.
-    def residual(x: list) -> np.ndarray:
+    # x is (rabi, eps, c0) as Python floats, and each residual is one rolling
+    # recurrence pass; every update, difference and test rounds exactly as the
+    # float64 array expression does. numpy computes only the least-squares step
+    # and the norms (see _norm).
+    def residual(x: list) -> Tuple[float, float, float]:
         rabi, eps, c0 = x
-        b, c = _raw_recurrence(order + branch * eps, branch * g, rabi, g, eps, c0, order + 1)
-        return np.array([b[order + 1], c[order + 1], c[order] - branch * b[order]])
+        b_n, c_n, b_next, c_next = _roll_recurrence(
+            order + branch * eps, z, rabi, g, eps, c0, order + 1)
+        return b_next, c_next, c_n - branch * b_n
+
+    def jacobian(x: list, columns) -> np.ndarray:
+        """Central-difference Jacobian of ``residual`` in the ``columns`` entries of x."""
+        rows = []
+        for k in columns:
+            h = 1e-7 * max(1.0, abs(x[k]))
+            xp = list(x)
+            xm = list(x)
+            xp[k] += h
+            xm[k] -= h
+            p0, p1, p2 = residual(xp)
+            m0, m1, m2 = residual(xm)
+            two_h = 2.0 * h
+            rows.append(((p0 - m0) / two_h, (p1 - m1) / two_h, (p2 - m2) / two_h))
+        return np.array(rows).T
 
     if guess is not None:
         base = np.asarray(guess, dtype=float)
@@ -530,6 +575,9 @@ def terminate_general(
             base * (1.0 + 0.02 * rng.standard_normal(3)) + 0.01 * rng.standard_normal(3)
             for _ in range(len(_HEURISTIC_SEEDS) - 1)
         ]
+        pinned = [k for k in range(3) if k not in free]
+        for start in starts:
+            start[pinned] = base[pinned]  # a pinned entry keeps its guess in every start
     else:
         # the minus branch's manifold mirrors the plus one in eps
         starts = [(s[0], branch * s[1], s[2]) for s in _HEURISTIC_SEEDS]
@@ -538,30 +586,30 @@ def terminate_general(
     for start in starts:
         x = [float(v) for v in start]
         F = residual(x)
-        norm = math.sqrt(F.dot(F))  # np.linalg.norm of a 1-D float64 array
+        norm = _norm(F)
         for _ in range(_MAX_ITER):
-            if np.max(np.abs(F)) < _TOL:
+            if _max_abs(F) < _TOL:
                 break
-            step = np.linalg.lstsq(_fd_jacobian(residual, x, free), -F, rcond=None)[0]
-            if not np.all(np.isfinite(step)):
-                break
+            step = np.linalg.lstsq(jacobian(x, free), np.negative(F), rcond=None)[0]
             step_list = step.tolist()
+            if not all(map(math.isfinite, step_list)):
+                break
             lam = 1.0
             for _ in range(30):
                 x_new = list(x)
                 for j, k in enumerate(free):
                     x_new[k] = x[k] + lam * step_list[j]
                 F_new = residual(x_new)
-                norm_new = math.sqrt(F_new.dot(F_new))
+                norm_new = _norm(F_new)
                 if math.isfinite(norm_new) and norm_new < norm:
                     x, F, norm = x_new, F_new, norm_new
                     break
                 lam *= 0.5
             else:
                 break  # no damped step improved the residual
-            if np.linalg.norm(lam * step) < _STEP_TOL:
+            if _norm(lam * step) < _STEP_TOL:
                 break
-        trace.append(float(np.max(np.abs(F))))
+        trace.append(_max_abs(F))
         if trace[-1] >= _TOL:
             continue
         rabi, eps, c0 = x
@@ -572,7 +620,7 @@ def terminate_general(
         # Rank of the full residual Jacobian at the converged point: 2, because
         # one linear dependency ties the three residuals together on the
         # manifold, leaving a one-dimensional solution curve in (rabi, eps, c0).
-        svals = np.linalg.svd(_fd_jacobian(residual, x, (0, 1, 2)), compute_uv=False)
+        svals = np.linalg.svd(jacobian(x, (0, 1, 2)), compute_uv=False)
         sol.jacobian_rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
         gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
         if gap > EIGEN_GAP_TOL:

@@ -2,10 +2,11 @@
 
 Each reference below is the plain construction the library used before its
 hot path was rewritten: the Kronecker sums for H_I, H_lab and the
-rotating-wave Hamiltonians, the ndarray recurrence, one displacement per spin
-component, and the (grid point, Fock level) Wigner layout. CLI output is
-pinned digit for digit, so the fast paths must store the same bits, signed
-zeros included, not merely agree within a tolerance.
+rotating-wave Hamiltonians, the ndarray recurrence, the Gauss-Newton loop on
+numpy residual vectors, one displacement per spin component, and the (grid
+point, Fock level) Wigner layout. CLI output is pinned digit for digit, so
+the fast paths must store the same bits, signed zeros included, not merely
+agree within a tolerance.
 """
 
 import math
@@ -23,10 +24,21 @@ import pytest
 from scipy.linalg import expm
 
 from ionseries import model, oracle, series, states
-from ionseries.errors import IonSeriesError, TruncationError
+from ionseries.errors import IonSeriesError, NoSolutionFoundError, TruncationError
 from ionseries.model import FockBasis, ModelParams, build_h_lab, build_h_transformed, derive_params
 from ionseries.rwa import RwaQuery, rwa_hamiltonian
-from ionseries.series import _raw_recurrence, case1_closed_form, case2_closed_form
+from ionseries.oracle import EIGEN_GAP_TOL, nearest_level
+from ionseries.series import (
+    _HEURISTIC_SEEDS,
+    _MAX_ITER,
+    _STEP_TOL,
+    _TOL,
+    _raw_recurrence,
+    _solution_from_point,
+    case1_closed_form,
+    case2_closed_form,
+    terminate_general,
+)
 from ionseries.states import StateVector, cat_state, coherent_state, wigner_grid
 
 
@@ -94,6 +106,92 @@ def ndarray_recurrence(E, z, rabi, g, eps, c0, n_max):
             (E - rabi / 2.0 - n - g * g) * b[n] + (g * z - eps) * c[n] - g * c_prev + z * b_prev
         ) / denom
     return b, c
+
+
+def fd_jacobian(f, x, free):
+    """Central finite-difference Jacobian of the 3-residual ``f`` in the ``free`` entries of x."""
+    J = np.empty((3, len(free)))
+    for j, k in enumerate(free):
+        h = 1e-7 * max(1.0, abs(x[k]))
+        xp = list(x)
+        xm = list(x)
+        xp[k] += h
+        xm[k] -= h
+        J[:, j] = (f(xp) - f(xm)) / (2.0 * h)
+    return J
+
+
+def vector_terminate_general(order, branch, eta, guess=None, *, fix=None, cutoff=150):
+    """terminate_general with its residuals, Jacobian and tests on numpy 3-vectors.
+
+    Each residual is the list-building recurrence wrapped in an array. The
+    starts keep a pinned entry at its guess, as the library's do.
+    """
+    g = eta / 2.0
+    free = [k for k, name in enumerate(("rabi", "eps", "c0")) if name != fix]
+
+    def residual(x):
+        rabi, eps, c0 = x
+        b, c = _raw_recurrence(order + branch * eps, branch * g, rabi, g, eps, c0, order + 1)
+        return np.array([b[order + 1], c[order + 1], c[order] - branch * b[order]])
+
+    if guess is not None:
+        base = np.asarray(guess, dtype=float)
+        rng = np.random.default_rng(0)
+        starts = [base] + [
+            base * (1.0 + 0.02 * rng.standard_normal(3)) + 0.01 * rng.standard_normal(3)
+            for _ in range(len(_HEURISTIC_SEEDS) - 1)
+        ]
+        pinned = [k for k in range(3) if k not in free]
+        for start in starts:
+            start[pinned] = base[pinned]
+    else:
+        starts = [(s[0], branch * s[1], s[2]) for s in _HEURISTIC_SEEDS]
+
+    trace = []
+    for start in starts:
+        x = [float(v) for v in start]
+        F = residual(x)
+        norm = math.sqrt(F.dot(F))
+        for _ in range(_MAX_ITER):
+            if np.max(np.abs(F)) < _TOL:
+                break
+            step = np.linalg.lstsq(fd_jacobian(residual, x, free), -F, rcond=None)[0]
+            if not np.all(np.isfinite(step)):
+                break
+            step_list = step.tolist()
+            lam = 1.0
+            for _ in range(30):
+                x_new = list(x)
+                for j, k in enumerate(free):
+                    x_new[k] = x[k] + lam * step_list[j]
+                F_new = residual(x_new)
+                norm_new = math.sqrt(F_new.dot(F_new))
+                if math.isfinite(norm_new) and norm_new < norm:
+                    x, F, norm = x_new, F_new, norm_new
+                    break
+                lam *= 0.5
+            else:
+                break
+            if np.linalg.norm(lam * step) < _STEP_TOL:
+                break
+        trace.append(float(np.max(np.abs(F))))
+        if trace[-1] >= _TOL:
+            continue
+        rabi, eps, c0 = x
+        if rabi < 0:
+            trace[-1] = float("inf")
+            continue
+        sol = _solution_from_point(order, branch, eta, rabi, eps, c0)
+        svals = np.linalg.svd(fd_jacobian(residual, x, (0, 1, 2)), compute_uv=False)
+        sol.jacobian_rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
+        gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
+        if gap > EIGEN_GAP_TOL:
+            trace[-1] = float("inf")
+            continue
+        sol.oracle_gap = float(gap)
+        return sol
+    raise NoSolutionFoundError("no termination point found", residual_trace=trace)
 
 
 def displaced_bargmann(poly, z, basis):
@@ -222,6 +320,87 @@ class TestFloatRecurrence:
         b, c = (np.asarray(v) for v in _raw_recurrence(*args))
         rb, rc = ndarray_recurrence(*args)
         assert b.tobytes() == rb.tobytes() and c.tobytes() == rc.tobytes()
+
+
+def _solver_bits(solve, *args, **kwargs):
+    """The bits of one solver call: the point, or the trace, or the error raised."""
+    try:
+        with np.errstate(all="ignore"):
+            sol = solve(*args, **kwargs)
+    except NoSolutionFoundError as exc:
+        return [t.hex() for t in exc.residual_trace]
+    except np.linalg.LinAlgError as exc:
+        return ("LinAlgError", str(exc))
+    p = sol.params
+    return tuple(v.hex() for v in (p.rabi, p.detuning, sol.c0, sol.oracle_gap)) + (
+        sol.jacobian_rank, sol.termination_residual.hex())
+
+
+def _scan_sample():
+    """Seven inputs of every (order, branch) cell of a termination_scan-like pool.
+
+    Each cell draws one eta from each 32nd of U(0.05, 0.8), as the benchmark's
+    pool does, and the sample takes strata 0, 13 and 27, so the unsolved low-eta
+    edge of orders >= 5 is included.
+    """
+    rng = np.random.default_rng(17)
+    sample = []
+    for order in range(3, 9):
+        for branch in (1, -1):
+            etas = [0.05 + 0.75 * (s + rng.random()) / 32 for s in range(32)]
+            sample += [(order, branch, etas[s]) for s in range(0, 32, 5)]
+    return sample
+
+
+class TestFloatGaussNewton:
+    """terminate_general's float loop against the same loop on numpy 3-vectors."""
+
+    def test_scan_sample_matches_vector_loop_bits(self):
+        unsolved = 0
+        for args in _scan_sample():
+            fast = _solver_bits(terminate_general, *args)
+            assert fast == _solver_bits(vector_terminate_general, *args), args
+            unsolved += isinstance(fast, list)
+        assert unsolved >= 4
+
+    def test_guess_and_fix_runs_match_vector_loop_bits(self):
+        """The guess and fix runs of test_solver_bits, and one that needs a jittered start."""
+        a1 = case1_closed_form(0.2, 0.0, 1)
+        a2 = case2_closed_form(0.5, 0.1)[0]
+        runs = [
+            ((1, 1, 0.2), {"guess": (a1.params.rabi + 0.03, 0.0, a1.c0 + 0.01), "fix": "eps"}),
+            ((2, 1, 0.1), {"guess": (0.5, -a2.params.detuning / 2.0 + 0.02, a2.c0 + 0.02),
+                           "fix": "rabi"}),
+            ((5, -1, 0.38), {"guess": (0.8, -0.97, -0.86)}),
+            ((4, 1, 0.3), {"guess": (9.0, 9.0, 9.0), "fix": "eps"}),
+            ((3, 1, 0.3), {"guess": (0.5, 0.2, -1.0), "fix": "eps"}),
+        ]
+        for args, kwargs in runs:
+            assert _solver_bits(terminate_general, *args, **kwargs) == _solver_bits(
+                vector_terminate_general, *args, **kwargs), (args, kwargs)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((8, 1, 0.01), {"guess": (1e32, 1.0, 1.0)}),
+        ((3, 1, 0.3), {"guess": (1e100, 0.5, 1.0)}),
+        ((8, 1, 1e-60), {}),
+    ], ids=["norm-overflows", "residual-overflows", "residual-nan"])
+    def test_overflowing_runs_match_vector_loop_bits(self, args, kwargs):
+        fast = _solver_bits(terminate_general, *args, **kwargs)
+        assert fast == _solver_bits(vector_terminate_general, *args, **kwargs)
+
+    def test_max_abs_keeps_numpy_nan(self):
+        nan, inf = math.nan, math.inf
+        vectors = [(1.0, nan, 2.0), (nan, 1.0, 2.0), (2.0, 1.0, nan), (-0.0, 0.0, -0.0),
+                   (-inf, 1.0, nan), (1e-300, -3.0, 2.5), (inf, -inf, 0.0)]
+        for v in vectors:
+            expected = float(np.max(np.abs(np.array(v))))
+            assert series._max_abs(v).hex() == expected.hex(), v
+
+    def test_norm_rounds_as_numpy(self):
+        rng = np.random.default_rng(3)
+        for size in (2, 3):
+            for v in rng.standard_normal((3000, size)) * 10.0 ** rng.integers(-8, 8, (3000, 1)):
+                assert series._norm(v.tolist()).hex() == float(np.linalg.norm(v)).hex()
 
 
 class TestSharedDisplacement:

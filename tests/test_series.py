@@ -387,6 +387,23 @@ class TestTerminateGeneral:
         assert abs(-sol.params.detuning / 2.0 - eps) < 1e-8
         assert abs(sol.c0 - anchor.c0) < 1e-8
 
+    @pytest.mark.parametrize(
+        "order, branch, eta, guess, fix",
+        [
+            (3, 1, 0.3, (0.5, 0.2, -1.0), "eps"),
+            (1, 1, 0.2, (0.5, 0.2, 0.5), "eps"),
+            (1, 1, 0.2, (1.5, -0.6, 0.5), "rabi"),
+            (1, -1, 0.3, (1.5, -0.2, -1.0), "eps"),
+        ],
+    )
+    def test_pinned_entry_keeps_its_guess(self, order, branch, eta, guess, fix):
+        # each of these used to return the jittered value of its pinned entry
+        sol = terminate_general(order, branch, eta, guess=guess, fix=fix)
+        if fix == "rabi":
+            assert sol.params.rabi == guess[0]
+        else:
+            assert -sol.params.detuning / 2.0 == guess[1]
+
     def test_order3_solution_from_heuristic_starts(self):
         sol = terminate_general(3, 1, 0.3)
         assert sol.order == 3
