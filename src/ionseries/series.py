@@ -539,7 +539,7 @@ def terminate_general(
         raise ValueError(f'fix must be None, "eps", or "rabi", got {fix!r}')
     if fix is not None and guess is None:
         raise ValueError("fix requires an explicit guess supplying the pinned value")
-    g = eta / 2.0
+    level, g = float(order), float(eta) / 2.0  # _roll_recurrence takes Python floats
     free = [k for k, name in enumerate(("rabi", "eps", "c0")) if name != fix]
     z = branch * g
 
@@ -550,7 +550,7 @@ def terminate_general(
     def residual(x: list) -> Tuple[float, float, float]:
         rabi, eps, c0 = x
         b_n, c_n, b_next, c_next = _roll_recurrence(
-            order + branch * eps, z, rabi, g, eps, c0, order + 1)
+            level + branch * eps, z, rabi, g, eps, c0, order + 1)
         return b_next, c_next, c_n - branch * b_n
 
     def jacobian(x: list, columns) -> np.ndarray:

@@ -388,6 +388,23 @@ class TestFloatGaussNewton:
         fast = _solver_bits(terminate_general, *args, **kwargs)
         assert fast == _solver_bits(vector_terminate_general, *args, **kwargs)
 
+    def test_numpy_scalar_inputs_run_on_floats(self, monkeypatch):
+        """numpy scalar order and eta keep their bits and reach every pass as floats."""
+        arg_types = set()
+        roll = series._roll_recurrence
+
+        def spy(*args):
+            arg_types.update(type(v) for v in args[:6])
+            return roll(*args)
+
+        args = (3, 1, 0.3)
+        kwargs = {"guess": (0.5, 0.2, -1.0), "fix": "eps"}
+        expected = _solver_bits(terminate_general, *args, **kwargs)
+        monkeypatch.setattr(series, "_roll_recurrence", spy)
+        got = _solver_bits(terminate_general, np.int64(3), 1, np.float64(0.3), **kwargs)
+        assert got == expected
+        assert arg_types == {float}
+
     def test_max_abs_keeps_numpy_nan(self):
         nan, inf = math.nan, math.inf
         vectors = [(1.0, nan, 2.0), (nan, 1.0, 2.0), (2.0, 1.0, nan), (-0.0, 0.0, -0.0),

@@ -4,9 +4,10 @@ Usage (from anywhere in the repository):
 
     python3 tools/bench_pairs.py --base REV --workload W --pairs N --seed S
 
-Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --seconds 20
---trace 0`` twice: once in ``git archive REV`` unpacked into a temporary
-directory (the base side) and once in the working tree (the change side).
+Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --trace 0``
+twice, at perfbench's own run length: once in ``git archive REV`` unpacked
+into a temporary directory (the base side) and once in the working tree (the
+change side).
 The base runs first in even pairs and second in odd ones, so a drift in the
 machine's speed falls on both sides alike. Each pair's end-to-end metrics,
 those that ``BENCHMARK.json`` lists, are printed as they arrive. The summary
@@ -47,10 +48,10 @@ def unpack(rev: str, into: Path) -> None:
     archive.unlink()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The final JSON object of one untraced perfbench run in ``tree``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -72,7 +73,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, help="perfbench workload name")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=20.0, help="length of each run")
     args = parser.parse_args(argv)
     metrics = end_to_end_metrics()
     sides = {"base": [], "change": []}
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 try:
-                    result = run_once(trees[side], args.workload, args.seed + i, args.seconds)
+                    result = run_once(trees[side], args.workload, args.seed + i)
                 except (RuntimeError, json.JSONDecodeError) as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
