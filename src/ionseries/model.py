@@ -117,6 +117,12 @@ class FockBasis:
         return FockBasis(cutoff=self.cutoff, spin_dim=1)
 
 
+def _require_spin(basis: FockBasis, spin_dim: int, who: str) -> None:
+    """BasisMismatchError unless ``basis`` has ``spin_dim``; the package's one spin guard."""
+    if basis.spin_dim != spin_dim:
+        raise BasisMismatchError(f"{who} requires spin_dim = {spin_dim}, got {basis.spin_dim}")
+
+
 @dataclass
 class OperatorMatrix:
     """Dense operator over a FockBasis.
@@ -207,11 +213,6 @@ def displacement_matrix(gamma: complex, basis: FockBasis) -> OperatorMatrix:
 # Hamiltonian builders (spin_dim = 2, interleaved index 2n + s)
 # ---------------------------------------------------------------------------
 
-def _require_spin2(basis: FockBasis, who: str) -> None:
-    if basis.spin_dim != 2:
-        raise BasisMismatchError(f"{who} requires spin_dim = 2, got {basis.spin_dim}")
-
-
 def _spin_blocks(
     down_down: np.ndarray, down_up: np.ndarray, up_down: np.ndarray, up_up: np.ndarray
 ) -> np.ndarray:
@@ -227,7 +228,7 @@ def build_h_lab(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     H = (Delta/2) sigma_z + a^dag a
         + (Omega/2)(sigma_+ e^{i eta x} + sigma_- e^{-i eta x}),   x = a + a^dag.
     """
-    _require_spin2(basis, "build_h_lab")
+    _require_spin(basis, 2, "build_h_lab")
     cutoff = basis.cutoff
     eplus = _displacement_entries(1j * p.lamb_dicke, cutoff)  # e^{i eta x} = D(i eta)
     number = np.diag(np.arange(float(cutoff)))
@@ -244,7 +245,7 @@ def build_h_transformed(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
 
     H_I = (Omega/2) sigma_z + a^dag a + [g (a + a^dag) + eps] sigma_x + g^2.
     """
-    _require_spin2(basis, "build_h_transformed")
+    _require_spin(basis, 2, "build_h_transformed")
     d = derive_params(p)
     r = p.rabi / 2.0
     n = np.arange(float(basis.cutoff))
@@ -275,7 +276,7 @@ def transform_uv(p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     unitary (up to truncation, reported as ``meta["unitarity_defect"]`` over the
     whole matrix).
     """
-    _require_spin2(basis, "transform_uv")
+    _require_spin(basis, 2, "transform_uv")
     cutoff = basis.cutoff
     D = _displacement_entries(0.5j * p.lamb_dicke, cutoff)
     rotation = np.diag((-1j) ** np.arange(cutoff))

@@ -9,8 +9,6 @@ combined validator for series eigensolutions.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -18,6 +16,7 @@ import numpy as np
 
 from .errors import NonHermitianError, TruncationError
 from .model import FockBasis, ModelParams, OperatorMatrix, build_h_transformed
+from .states import _run_workers
 
 __all__ = [
     "Spectrum",
@@ -172,36 +171,19 @@ def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
     one) with norm > 0.999. A basis too small to represent the vector yields an
     inconclusive report instead of a failure.
 
-    The reconstruction's ``expm`` runs on a worker thread beside the caller's
-    ``eigh`` when two CPUs are allowed and its scratch fits ``_OVERLAP_BYTES``
-    (cutoff 150 does, 400 does not), else in turn before it; the report is
+    The reconstruction (its ``expm``) and the ``eigh`` are submitted to
+    ``states._run_workers``, so they overlap when two CPUs are allowed, unless
+    the ``expm`` scratch exceeds ``_OVERLAP_BYTES`` (cutoff 150 fits, 400 does
+    not): then they run in turn, the reconstruction first. The report is
     byte-identical either way. The budget bounds memory: overlapping at cutoff
     400 too raised the validation benchmark's peak RSS from 94 to 114 MB.
     """
     from .series import series_to_fock  # deferred to avoid an import cycle
 
     H = build_h_transformed(sol.params, basis)
-    done = {}
-
-    def attempt(key, f, *args):
-        try:
-            done[key] = (f(*args), None)
-        except Exception as exc:  # raised on the calling thread, after the join
-            done[key] = (None, exc)
-
-    worker = None
-    if len(os.sched_getaffinity(0)) > 1 and 9 * 16 * basis.cutoff**2 <= _OVERLAP_BYTES:
-        worker = threading.Thread(target=attempt, args=("state", series_to_fock, sol, basis))
-        worker.start()
-    else:
-        attempt("state", series_to_fock, sol, basis)
-    try:
-        if worker is not None or done["state"][1] is None:
-            attempt("spec", hermitian_eigensystem, H, True)
-    finally:
-        if worker is not None:
-            worker.join()
-    (state, error), (spec, eig_error) = done["state"], done.get("spec", (None, None))
+    tasks = [lambda: series_to_fock(sol, basis), lambda: hermitian_eigensystem(H, True)]
+    (state, error), (spec, eig_error) = _run_workers(
+        lambda task, _: task(), tasks, serial=9 * 16 * basis.cutoff**2 > _OVERLAP_BYTES)
     if isinstance(error, TruncationError):
         nan = float("nan")
         return ValidationReport(residual=nan, eigen_gap=nan, overlap=0.0, passed=False,

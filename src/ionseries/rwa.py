@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .model import FockBasis, OperatorMatrix, _annihilation, _require_spin2, _spin_blocks
+from .model import FockBasis, OperatorMatrix, _annihilation, _require_spin, _spin_blocks
 from .series import _branch_mark, case2_energies, energy_identity_case1
 
 __all__ = [
@@ -90,7 +90,7 @@ def rwa_hamiltonian(q: RwaQuery, eta: float, basis: FockBasis) -> OperatorMatrix
     excitation number, and its 2x2-sector eigenvalues reproduce rwa_energy for
     every doublet that fits below the cutoff.
     """
-    _require_spin2(basis, "rwa_hamiltonian")
+    _require_spin(basis, 2, "rwa_hamiltonian")
     if eta < 0:
         raise ValueError("eta must be >= 0")
     g = 0.0 + eta / 2.0  # eta = -0.0 stores +0.0 couplings

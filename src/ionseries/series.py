@@ -37,13 +37,12 @@ from .errors import (
     ConstraintInfeasibleError,
     DegenerateCaseError,
     DegenerateQuadraticError,
-    IonSeriesError,
     NoSolutionFoundError,
     PoleError,
     SingularRecurrenceError,
     TruncationError,
 )
-from .model import FockBasis, ModelParams, _displacement_entries, derive_params
+from .model import FockBasis, ModelParams, _displacement_entries, _require_spin, derive_params
 from .oracle import EIGEN_GAP_TOL, nearest_level
 from .states import StateVector, _within_tail_budget
 
@@ -153,16 +152,6 @@ def _roll_recurrence(
     return b_prev, c_prev, b_n, c_n
 
 
-def _raw_recurrence(
-    E: float, z: float, rabi: float, g: float, eps: float, c0: float, n_max: int
-) -> Tuple[list, list]:
-    """b_0..b_{n_max} and c_0..c_{n_max} from the coupled recurrences, as two lists."""
-    b = [1.0]
-    c = [float(c0)]
-    _roll_recurrence(float(E), float(z), float(rabi), float(g), float(eps), c[0], int(n_max), b, c)
-    return b, c
-
-
 def recurrence_coefficients(
     E: float, z: float, p: ModelParams, n_max: int, c0: float
 ) -> SeriesCoefficients:
@@ -178,7 +167,8 @@ def recurrence_coefficients(
         )
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    b, c = _raw_recurrence(float(E), float(z), p.rabi, d.g, d.eps, float(c0), int(n_max))
+    b, c = [1.0], [float(c0)]
+    _roll_recurrence(float(E), float(z), p.rabi, d.g, d.eps, c[0], int(n_max), b, c)
     return SeriesCoefficients(b=b, c=c, z=float(z), energy=float(E))
 
 
@@ -528,7 +518,9 @@ def terminate_general(
     is checked to be an eigenvalue of the transformed Hamiltonian (cutoff
     ``cutoff``) within EIGEN_GAP_TOL.
     Raises NoSolutionFoundError (with the per-start residual trace) if nothing
-    converges; converged points with rabi < 0 are rejected as out of domain.
+    converges. A start ends where its residual or Jacobian is not finite, and
+    converged points with rabi < 0 or a full Jacobian rank below 2 are rejected
+    as out of domain.
     """
     branch = _norm_branch(branch)
     if order < 1:
@@ -553,8 +545,10 @@ def terminate_general(
             level + branch * eps, z, rabi, g, eps, c0, order + 1)
         return b_next, c_next, c_n - branch * b_n
 
-    def jacobian(x: list, columns) -> np.ndarray:
-        """Central-difference Jacobian of ``residual`` in the ``columns`` entries of x."""
+    def jacobian(x: list, columns) -> Optional[np.ndarray]:
+        """Central-difference Jacobian of ``residual`` in the ``columns`` entries of
+        x, or None when an entry is not finite: lstsq and svd would raise on it,
+        and LAPACK print to stdout."""
         rows = []
         for k in columns:
             h = 1e-7 * max(1.0, abs(x[k]))
@@ -565,7 +559,10 @@ def terminate_general(
             p0, p1, p2 = residual(xp)
             m0, m1, m2 = residual(xm)
             two_h = 2.0 * h
-            rows.append(((p0 - m0) / two_h, (p1 - m1) / two_h, (p2 - m2) / two_h))
+            d0, d1, d2 = (p0 - m0) / two_h, (p1 - m1) / two_h, (p2 - m2) / two_h
+            if not (math.isfinite(d0) and math.isfinite(d1) and math.isfinite(d2)):
+                return None
+            rows.append((d0, d1, d2))
         return np.array(rows).T
 
     if guess is not None:
@@ -588,9 +585,13 @@ def terminate_general(
         F = residual(x)
         norm = _norm(F)
         for _ in range(_MAX_ITER):
-            if _max_abs(F) < _TOL:
+            size = _max_abs(F)  # inf or NaN when an entry is
+            if size < _TOL:
                 break
-            step = np.linalg.lstsq(jacobian(x, free), np.negative(F), rcond=None)[0]
+            J = jacobian(x, free) if math.isfinite(size) else None
+            if J is None:
+                break
+            step = np.linalg.lstsq(J, np.negative(F), rcond=None)[0]
             step_list = step.tolist()
             if not all(map(math.isfinite, step_list)):
                 break
@@ -610,18 +611,24 @@ def terminate_general(
             if _norm(lam * step) < _STEP_TOL:
                 break
         trace.append(_max_abs(F))
-        if trace[-1] >= _TOL:
+        if not trace[-1] < _TOL:  # NaN too
             continue
         rabi, eps, c0 = x
-        if rabi < 0:
-            trace[-1] = float("inf")  # out-of-domain convergence point
-            continue
-        sol = _solution_from_point(order, branch, eta, rabi, eps, c0)
         # Rank of the full residual Jacobian at the converged point: 2, because
         # one linear dependency ties the three residuals together on the
         # manifold, leaving a one-dimensional solution curve in (rabi, eps, c0).
-        svals = np.linalg.svd(jacobian(x, (0, 1, 2)), compute_uv=False)
-        sol.jacobian_rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
+        # Below 2 the recurrence has lost its digits (at eps = 1e100 every
+        # b_1, c_1 rounds to 0); like rabi < 0, that point is out of domain.
+        J = jacobian(x, (0, 1, 2))
+        rank = 0
+        if J is not None:
+            svals = np.linalg.svd(J, compute_uv=False)
+            rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
+        if rabi < 0 or rank < 2:
+            trace[-1] = float("inf")
+            continue
+        sol = _solution_from_point(order, branch, eta, rabi, eps, c0)
+        sol.jacobian_rank = rank
         gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
         if gap > EIGEN_GAP_TOL:
             trace[-1] = float("inf")
@@ -748,8 +755,7 @@ def series_to_fock(sol: SeriesSolution, basis: FockBasis) -> StateVector:
     spin_dim = 2 and comfortably contain the displaced support; a tail-mass
     violation raises TruncationError.
     """
-    if basis.spin_dim != 2:
-        raise ValueError("series_to_fock needs a spin_dim = 2 basis")
+    _require_spin(basis, 2, "series_to_fock")
     if basis.cutoff < sol.order + 10:
         raise TruncationError(
             f"cutoff {basis.cutoff} too small for order {sol.order} solution"
@@ -761,6 +767,4 @@ def series_to_fock(sol: SeriesSolution, basis: FockBasis) -> StateVector:
     amps[1::2] = D @ _bargmann_seed(sol.coeffs.b[:n_keep], z, basis.cutoff)
     amps[0::2] = D @ _bargmann_seed(sol.coeffs.c[:n_keep], z, basis.cutoff)
     state = StateVector(amplitudes=amps, basis=basis)
-    if state.norm == 0:
-        raise IonSeriesError("series solution mapped to the zero vector")
     return _within_tail_budget(state, f"order-{sol.order} series solution").normalize()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisMismatchError, IonSeriesError, TruncationError
-from .model import FockBasis
+from .model import FockBasis, _require_spin
 
 __all__ = [
     "StateVector",
@@ -40,10 +40,10 @@ _TILE_BYTES = 256 * 1024
 #: seed column costs ``cutoff`` Python-level steps, paid once per chunk.
 _CHUNK_TILES = 4
 
-#: Most threads one wigner_grid call runs on. Each holds 10 * _TILE_BYTES of
-#: buffers (2.5 MiB) whatever the cutoff, plus, for a narrow last tile, a copy
-#: of up to 1.5 * _TILE_BYTES of factors, so two keep a call's traced peak
-#: near 6.5 MB.
+#: Most threads one _run_workers call runs on, the library-wide cap. A
+#: wigner_grid worker holds 10 * _TILE_BYTES of buffers (2.5 MiB) whatever the
+#: cutoff, plus, for a narrow last tile, a copy of up to 1.5 * _TILE_BYTES of
+#: factors, so two keep a call's traced peak near 6.5 MB.
 _MAX_WORKERS = 2
 
 
@@ -80,11 +80,8 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalize(self) -> "StateVector":
-        n = self.norm
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
         return StateVector(
-            amplitudes=self.amplitudes / n,
+            amplitudes=_normalized(self.amplitudes),
             basis=self.basis,
             normalized=True,
             meta=dict(self.meta),
@@ -111,11 +108,6 @@ def _within_tail_budget(state: StateVector, what: str) -> StateVector:
     return state
 
 
-def _require_motional(basis: FockBasis, what: str) -> None:
-    if basis.spin_dim != 1:
-        raise BasisMismatchError(f"{what} requires a motional-only (spin_dim = 1) basis")
-
-
 def _coherent_amplitudes(gamma: complex, cutoff: int) -> np.ndarray:
     """Amplitudes gamma^n e^{-|gamma|^2/2}/sqrt(n!) without overflow."""
     a = np.empty(cutoff, dtype=complex)
@@ -133,7 +125,7 @@ def coherent_state(gamma: complex, basis: FockBasis) -> StateVector:
     larger one raises TruncationError, as does an e^{-|gamma|^2/2} that
     underflows to 0 (|gamma| above about 38.6), which leaves a zero vector.
     """
-    _require_motional(basis, "coherent_state")
+    _require_spin(basis, 1, "coherent_state")
     a = _coherent_amplitudes(complex(gamma), basis.cutoff)
     if a[0] == 0.0:  # a zero vector has no tail mass for the budget to catch
         raise TruncationError(f"coherent state |gamma|={abs(gamma):.3g}: e^(-|gamma|^2/2) "
@@ -152,7 +144,7 @@ def cat_state(eta: float, basis: FockBasis) -> StateVector:
     included, it raises TruncationError. ``validate --suite cat`` checks the
     equal displaced pair D(i*eta/2)(|i*eta/2> + |-i*eta/2>) with a dense D.
     """
-    _require_motional(basis, "cat_state")
+    _require_spin(basis, 1, "cat_state")
     if eta < 0:
         raise ValueError("eta must be >= 0")
     direct = _coherent_amplitudes(1j * eta, basis.cutoff)
@@ -172,7 +164,7 @@ def cat_state(eta: float, basis: FockBasis) -> StateVector:
 
 
 def _normalized(a: np.ndarray) -> np.ndarray:
-    """``a`` over its 2-norm; ValueError for the zero vector, as StateVector.normalize."""
+    """``a`` over its 2-norm; ValueError for the zero vector, the library's one refusal."""
     n = np.linalg.norm(a)
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
@@ -288,40 +280,59 @@ def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
         np.multiply(2.0 / math.pi, w, out=w)
 
 
-def _run_workers(run_chunk, starts, workspaces):
-    """Call ``run_chunk(start, ws)`` for every start, one thread per workspace.
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (Linux), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The first workspace's thread is the caller's own. Each worker takes the
-    next start under a lock, and none takes another once one has failed.
-    Every thread is joined before the first failure is raised here.
+
+def _run_workers(run, items, workspace=None, serial=False):
+    """``(run(item, ws), None)``, or ``(None, exception)``, for every item, in order.
+
+    This is the library's one way to start threads. The items (a sequence) go
+    to min(_cpu_count(), len(items), _MAX_WORKERS) workers, or to one when
+    ``serial``; the first is the caller's own thread. Each worker takes the
+    next item under a lock, and none takes another once one has failed, so an
+    item left untaken keeps ``(None, None)``. ``ws`` is the worker's own
+    ``workspace()``, made on the calling thread, or None without a factory.
+    Every thread is joined before this returns, or raises an exception that
+    is not an ``Exception`` (KeyboardInterrupt, SystemExit).
     """
-    pending = iter(starts)
+    results = [(None, None)] * len(items)
+    workers = 1 if serial else min(_cpu_count(), len(items), _MAX_WORKERS)
+    pending = iter(range(len(items)))
     lock = threading.Lock()
-    errors = []
+    failed = False
 
     def work(ws):
-        try:
-            while True:
-                with lock:
-                    start = None if errors else next(pending, None)
-                if start is None:
-                    return
-                run_chunk(start, ws)
-        except BaseException as exc:  # re-raised on the calling thread
+        nonlocal failed
+        while True:
             with lock:
-                errors.append(exc)
+                i = None if failed else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = (run(items[i], ws), None)
+            except BaseException as exc:  # handed to the caller
+                results[i] = (None, exc)
+                failed = True
 
-    threads = []
+    spaces = [workspace() if workspace else None for _ in range(max(workers, 1))]
+    threads = [threading.Thread(target=work, args=(ws,)) for ws in spaces[1:]]
     try:
-        for ws in workspaces[1:]:
-            threads.append(threading.Thread(target=work, args=(ws,)))
-            threads[-1].start()
-        work(workspaces[0])
+        for t in threads:
+            t.start()
+        work(spaces[0])
     finally:
         for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+            if t.ident is not None:  # started
+                t.join()
+    for _, exc in results:
+        if exc is not None and not isinstance(exc, Exception):
+            raise exc  # an interrupt or exit is not the caller's to weigh or drop
+    return results
 
 
 def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -340,10 +351,10 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     points: the whole recurrence and the parity sum run on one tile before the
     next, so the recurrence buffers stay in cache and memory does not grow
     with the grid. Chunks of _CHUNK_TILES tiles share one seed computation and
-    are spread over min(CPUs this process may run on, chunks, _MAX_WORKERS)
-    threads; numpy releases the interpreter lock inside each ufunc, so the
-    threads overlap. Each grid point gets the same arithmetic whatever the
-    tile, chunk or thread, so W does not depend on any of them.
+    are spread over _run_workers' threads; numpy releases the interpreter lock
+    inside each ufunc, so the threads overlap. Each grid point gets the same
+    arithmetic whatever the tile, chunk or thread, so W does not depend on any
+    of them.
 
     When the normalized amplitudes satisfy conj(v_n) = (-1)^n v_n exactly, as
     every cat_state's do (both lobes lie on the p axis), W(-x, p) = W(x, p):
@@ -354,7 +365,7 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     round-to-nearest, so the copy holds the bits the mirrored point would
     get. Any other state takes the full grid.
     """
-    _require_motional(v.basis, "wigner_grid")
+    _require_spin(v.basis, 1, "wigner_grid")
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     if xs.ndim != 1 or ps.ndim != 1 or xs.size == 0 or ps.size == 0:
@@ -376,7 +387,6 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     tile = min(G, max(1, _TILE_BYTES // (16 * cutoff)))
     chunk = min(G, _CHUNK_TILES * tile)
     starts = range(0, G, chunk)
-    workers = min(len(os.sched_getaffinity(0)), len(starts), _MAX_WORKERS)
 
     inv_root = [0.0] + [1.0 / math.sqrt(n) for n in range(1, cutoff)]
     root_n = np.repeat(np.sqrt(np.arange(1, cutoff))[:, None], 2 * tile, axis=1)  # a tile's float columns
@@ -386,8 +396,9 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     def run_chunk(start, ws):
         _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs)
 
-    _run_workers(run_chunk, starts,
-                 [_WignerWorkspace(cutoff, chunk, tile) for _ in range(workers)])
+    for _, error in _run_workers(run_chunk, starts, lambda: _WignerWorkspace(cutoff, chunk, tile)):
+        if error is not None:
+            raise error
     W = W.reshape(ps.size, cols.size)
     if back is not None:
         W = W[:, back]

@@ -2,8 +2,11 @@
 flags per subcommand and the argument types."""
 
 import argparse
+import hashlib
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -159,6 +162,18 @@ class TestSolve:
         )
         assert code == 3
         assert "residual trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--guess=1e200,1e200,1e200"],  # every residual overflows
+        ["--guess=0.5,1e100,1.0", "--fix", "eps"],  # converges with Jacobian rank 0
+    ], ids=["overflowing-guess", "rank-deficient-point"])
+    def test_unsolvable_guess_exits_3(self, tmp_path, capfd, argv):
+        out = tmp_path / "x.json"
+        code = main(["solve", "--order", "3", "--eta", "0.3", "--branch", "+", *argv,
+                     "--out", str(out)])
+        captured = capfd.readouterr()
+        assert code == 3 and not out.exists()
+        assert captured.out == "" and "residual trace" in captured.err
 
     def test_infeasible_is_usage_error(self, tmp_path):
         code = main(
@@ -608,3 +623,22 @@ class TestArgumentTypes:
         except argparse.ArgumentTypeError:
             return
         assert isinstance(value, float) and math.isfinite(value)
+
+
+@pytest.mark.parametrize("cid", ["solve_order3", "validate_all", "cat_wigner"])
+def test_golden_bytes_without_an_affinity_call(tmp_path, cid):
+    """Where os.sched_getaffinity is missing (macOS, Windows), the thread runner
+    counts os.cpu_count() instead, and the commands write the golden bytes."""
+    from test_golden import CLI_COMMANDS, GOLDEN, _env
+
+    _, argv, code, artefacts = next(c for c in CLI_COMMANDS if c[0] == cid)
+    script = ("import os, sys\n"
+              "os.__dict__.pop('sched_getaffinity', None)\n"
+              "from ionseries.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in artefacts}
+    assert digests == GOLDEN[cid]

@@ -115,3 +115,38 @@ def test_dead_code_guard_flags_an_unread_name():
 def test_no_dead_top_level_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert dead_names(sources) == []
+
+
+#: Modules that start threads, and the attributes that read the CPU allowance.
+THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+CPU_READS = {"sched_getaffinity", "cpu_count", "process_cpu_count"}
+
+
+def thread_sites(source: str):
+    """Sorted line numbers where a module imports a thread-starting module or
+    reads the CPU allowance."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] in THREAD_MODULES for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if (node.module.split(".")[0] in THREAD_MODULES
+                    or any(alias.name in CPU_READS for alias in node.names)):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in CPU_READS:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_thread_guard_flags_imports_and_cpu_reads():
+    source = ("import os, threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "from os import cpu_count\nn = len(os.sched_getaffinity(0))\nm = os.getpid()\n")
+    assert thread_sites(source) == [1, 2, 3, 4]
+
+
+def test_only_states_starts_threads():
+    """states._run_workers is the one thread runner and states._cpu_count the one
+    reader of the CPU allowance."""
+    sites = {p.name: thread_sites(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert [name for name, lines in sorted(sites.items()) if lines] == ["states.py"]

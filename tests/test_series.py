@@ -9,6 +9,7 @@ import pytest
 import ionseries as ions
 from ionseries import series
 from ionseries.errors import (
+    BasisMismatchError,
     ConstraintInfeasibleError,
     DegenerateCaseError,
     DegenerateQuadraticError,
@@ -356,9 +357,8 @@ class TestEq7Residual:
         # the probe construction assumes exactness of the affine model in c0;
         # verify with a third probe point
         t0, ts, u0, us = _affine_conditions(2, 1, 0.5, 0.05, -0.3)
-        from ionseries.series import _raw_recurrence
-
-        b2v, c2v = _raw_recurrence(2 - 0.3, 0.05, 0.5, 0.05, -0.3, 2.0, 3)
+        coeffs = recurrence_coefficients(2 - 0.3, 0.05, ModelParams(0.5, 0.1, 0.6), 3, 2.0)
+        b2v, c2v = coeffs.b, coeffs.c
         assert c2v[2] - b2v[2] == pytest.approx(t0 + 2.0 * ts, rel=1e-12)
         assert b2v[3] == pytest.approx(u0 + 2.0 * us, rel=1e-12)
 
@@ -418,6 +418,27 @@ class TestTerminateGeneral:
         trace = exc_info.value.residual_trace
         assert len(trace) == 8
         assert all(isinstance(t, float) for t in trace)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((3, 1, 0.3), {"guess": (1e200, 1e200, 1e200)}),
+        ((3, 1, 0.3), {"guess": (1e100, 0.5, 1.0)}),
+        ((8, 1, 1e-60), {}),
+    ], ids=["overflowing-guess", "overflowing-rabi", "nan-residual"])
+    def test_non_finite_starts_end_in_the_typed_error(self, capfd, args, kwargs):
+        """A start whose residual or Jacobian is not finite ends before lstsq,
+        so neither numpy's LinAlgError nor LAPACK's stdout message appears."""
+        with np.errstate(all="ignore"), pytest.raises(NoSolutionFoundError) as exc_info:
+            terminate_general(*args, **kwargs)
+        assert len(exc_info.value.residual_trace) == 8
+        assert not any(t < 1e-10 for t in exc_info.value.residual_trace)
+        assert "DLASCL" not in capfd.readouterr().out
+
+    def test_rank_deficient_point_is_rejected(self):
+        """At eps = 1e100, E + rabi/2 - g^2 rounds to eps, so b_1 = c_1 = 0 exactly
+        and every start "converges" with residual 0 but Jacobian rank 0."""
+        with pytest.raises(NoSolutionFoundError) as exc_info:
+            terminate_general(3, 1, 0.3, guess=(0.5, 1e100, 1.0), fix="eps")
+        assert exc_info.value.residual_trace == [math.inf] * 8
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -506,7 +527,7 @@ class TestBargmannToFock:
 class TestSeriesToFock:
     def test_requires_spin_basis(self):
         sol = case1_closed_form(0.2, 0.0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(BasisMismatchError, match="series_to_fock requires spin_dim = 2"):
             series_to_fock(sol, FockBasis(cutoff=100, spin_dim=1))
 
     def test_requires_headroom(self):

@@ -1,11 +1,17 @@
-"""Motional states: coherent/cat constructions, fidelity, parity, Wigner grids."""
+"""Motional states: coherent/cat constructions, fidelity, parity, Wigner grids,
+and the thread runner behind the Wigner grid and the oracle."""
 
 import math
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from ionseries import states
 from ionseries.errors import BasisMismatchError, IonSeriesError, TruncationError
 from ionseries.model import FockBasis
 from ionseries.states import (
@@ -255,3 +261,118 @@ class TestWigner:
         v = coherent_state(0.0, motional100)
         with pytest.raises(ValueError):
             wigner_grid(v, np.array([]), np.array([0.0]))
+
+
+class TestRunWorkers:
+    """states._run_workers, the library's one way to start threads."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_thread_count_is_cpus_items_and_cap(self, monkeypatch, cpus, count):
+        monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
+        made, threads = [], set()
+
+        def workspace():  # one per worker
+            made.append(len(made))
+            return made[-1]
+
+        def run(item, ws):
+            threads.add(threading.get_ident())
+            return item * 2, ws
+
+        results = states._run_workers(run, range(count), workspace)
+        workers = min(cpus, count, states._MAX_WORKERS)
+        assert made == list(range(workers)) and len(threads) <= workers
+        assert [value for (value, _), _ in results] == [2 * i for i in range(count)]
+        assert {ws for (_, ws), _ in results} <= set(made)
+        assert all(exc is None for _, exc in results)
+        made.clear()
+        assert len(states._run_workers(run, range(count), workspace, serial=True)) == count
+        assert made == [0]
+
+    def test_no_thread_left_running(self, monkeypatch):
+        monkeypatch.setattr(states, "_cpu_count", lambda: 2)
+        before = threading.active_count()
+
+        def run(item, ws):
+            if item == 3:
+                raise ValueError("item 3")
+            time.sleep(0.001)
+
+        for items in (range(8), range(2), range(0)):
+            states._run_workers(run, items)
+            assert threading.active_count() == before
+
+    def test_failure_reaches_caller(self, monkeypatch):
+        for cpus in (1, 2):
+            monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
+
+            def run(item, ws):
+                if item == 1:
+                    raise KeyError("item 1")
+                return item
+
+            results = states._run_workers(run, [0, 1])
+            assert results[0] == (0, None)
+            assert results[1][0] is None and isinstance(results[1][1], KeyError)
+
+    def test_interrupt_is_raised_after_the_join(self, monkeypatch):
+        monkeypatch.setattr(states, "_cpu_count", lambda: 2)
+        before = threading.active_count()
+
+        def run(item, ws):
+            if item == 1:
+                raise KeyboardInterrupt
+            return item
+
+        with pytest.raises(KeyboardInterrupt):
+            states._run_workers(run, [0, 1, 2])
+        assert threading.active_count() == before
+
+    def test_no_item_lost_under_fast_thread_switching(self, monkeypatch):
+        monkeypatch.setattr(states, "_MAX_WORKERS", 4)  # beyond the cap, so threads outnumber cores
+        monkeypatch.setattr(states, "_cpu_count", lambda: 4)
+        before = threading.active_count()
+        items = np.arange(400.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                results = states._run_workers(lambda x, ws: float(np.sqrt(x)) * 2.0, items)
+                assert [r for r, _ in results] == (np.sqrt(items) * 2.0).tolist()
+                assert all(exc is None for _, exc in results)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_run_stops_after_a_failure(self, monkeypatch):
+        ran = []
+
+        def run(item, ws):
+            ran.append(item)
+            if item == 0:
+                raise RuntimeError("item 0")
+            time.sleep(0.05)  # long enough for item 0's failure to be recorded
+
+        for cpus in (1, 2):
+            monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
+            ran.clear()
+            results = states._run_workers(run, range(10))
+            assert isinstance(results[0][1], RuntimeError)
+            assert set(ran) <= {0, 1}  # at most the item another worker already held
+            assert results[2:] == [(None, None)] * 8
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        """Where os.sched_getaffinity is missing (macOS, Windows), os.cpu_count() counts."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert states._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert states._cpu_count() == 1
+        results = states._run_workers(lambda item, ws: -item, [1, 2, 3])
+        assert results == [(-1, None), (-2, None), (-3, None)]
+
+    def test_cpu_count_reads_the_affinity_set(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("the platform reports no affinity set")
+        assert states._cpu_count() == len(os.sched_getaffinity(0))
