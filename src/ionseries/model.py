@@ -145,10 +145,6 @@ class OperatorMatrix:
                 f"entries dim {self.entries.shape[0]} != basis dim {self.basis.dim}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def hermiticity_defect(self) -> float:
         """Entrywise max |H - H^dagger|."""
         return _hermiticity_defect(self.entries)

@@ -470,6 +470,11 @@ _TOL = 1e-10
 _STEP_TOL = 1e-12
 _MAX_ITER = 200
 
+#: Smallest rabi a converged point may have. At rabi = 0 the ion is undriven
+#: and E = N + branch*eps solves the system for every eps, so a start that
+#: slides there has found no driven solution.
+_MIN_RABI = 1e-8
+
 
 def _max_abs(values) -> float:
     """``np.max(np.abs(values))`` on floats: NaN when any entry is NaN.
@@ -519,8 +524,8 @@ def terminate_general(
     ``cutoff``) within EIGEN_GAP_TOL.
     Raises NoSolutionFoundError (with the per-start residual trace) if nothing
     converges. A start ends where its residual or Jacobian is not finite, and
-    converged points with rabi < 0 or a full Jacobian rank below 2 are rejected
-    as out of domain.
+    converged points with rabi < 1e-8 (the undriven ion) or a full Jacobian
+    rank below 2 are rejected as out of domain.
     """
     branch = _norm_branch(branch)
     if order < 1:
@@ -618,13 +623,13 @@ def terminate_general(
         # one linear dependency ties the three residuals together on the
         # manifold, leaving a one-dimensional solution curve in (rabi, eps, c0).
         # Below 2 the recurrence has lost its digits (at eps = 1e100 every
-        # b_1, c_1 rounds to 0); like rabi < 0, that point is out of domain.
+        # b_1, c_1 rounds to 0); like rabi < _MIN_RABI, that point is out of domain.
         J = jacobian(x, (0, 1, 2))
         rank = 0
         if J is not None:
             svals = np.linalg.svd(J, compute_uv=False)
             rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
-        if rabi < 0 or rank < 2:
+        if rabi < _MIN_RABI or rank < 2:
             trace[-1] = float("inf")
             continue
         sol = _solution_from_point(order, branch, eta, rabi, eps, c0)

@@ -41,9 +41,8 @@ _TILE_BYTES = 256 * 1024
 _CHUNK_TILES = 4
 
 #: Most threads one _run_workers call runs on, the library-wide cap. A
-#: wigner_grid worker holds 10 * _TILE_BYTES of buffers (2.5 MiB) whatever the
-#: cutoff, plus, for a narrow last tile, a copy of up to 1.5 * _TILE_BYTES of
-#: factors, so two keep a call's traced peak near 6.5 MB.
+#: wigner_grid worker holds at most 10 * _TILE_BYTES of buffers (2.5 MiB)
+#: whatever the cutoff, so two keep a call's traced peak near 6 MB.
 _MAX_WORKERS = 2
 
 
@@ -195,8 +194,7 @@ class _WignerWorkspace:
     ``seed`` holds a chunk's seed columns D(g)|0>; ``col``, ``nxt``, ``tmp``
     and ``u`` are one tile's recurrence buffers, ``gconj_rows`` its conj(g)
     repeated over levels 1.., and ``w2`` and ``rows`` its row-sum terms in
-    level-major and in point-major order. A narrower tile works in the
-    contiguous head of each buffer.
+    level-major and in point-major order.
     """
 
     def __init__(self, cutoff: int, chunk: int, tile: int):
@@ -206,15 +204,6 @@ class _WignerWorkspace:
         self.gconj_rows = np.empty((cutoff - 1, tile), dtype=complex)
         self.w2 = np.empty((cutoff, tile))
         self.rows = np.empty((tile, cutoff))
-        self.gconj = np.empty(chunk, dtype=complex)
-        self.neg_gconj = np.empty(chunk, dtype=complex)
-        self.e0 = np.empty(chunk)
-
-
-def _head(buf: np.ndarray, width: int) -> np.ndarray:
-    """The contiguous (rows, width) view over the first rows * width entries of ``buf``."""
-    rows = buf.shape[0]
-    return buf.reshape(-1)[:rows * width].reshape(rows, width)
 
 
 def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
@@ -226,42 +215,36 @@ def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
     # each step works on contiguous rows in place.
     seed = ws.seed[:, :m]
     seedf = seed.view(float)
-    e0 = ws.e0[:m]
-    np.absolute(g, out=e0)
+    e0 = np.absolute(g)
     np.square(e0, out=e0)
     np.multiply(-0.5, e0, out=e0)
     seed[0] = np.exp(e0, out=e0)
     for n in range(1, cutoff):
         np.multiply(seed[n - 1], g, out=seed[n])
         seedf[n] *= inv_root[n]
-    gconj_chunk = np.conjugate(g, out=ws.gconj[:m])
-    neg_gconj_chunk = np.negative(gconj_chunk, out=ws.neg_gconj[:m])
+    gconj_chunk = np.conjugate(g)
+    neg_gconj_chunk = np.negative(gconj_chunk)
 
+    # Float views (re, im interleaved) for the sums, the differences and the
+    # scalings by a real factor. numpy divides by c + 0j as (re + im*0) * (1/c),
+    # so the bytes match complex arithmetic up to signed zeros, which |u|^2
+    # erases. Every operand is full-shape and contiguous: a broadcast or
+    # strided one costs numpy a buffered iteration on every call.
+    col, nxt, tmp, u, gconj_rows, w2, rows = (
+        ws.col, ws.nxt, ws.tmp, ws.u, ws.gconj_rows, ws.w2, ws.rows)
+    colf, nxtf, tmpf, uf = (x.view(float) for x in (col, nxt, tmp, u))
+    col0, nxt0, col_hi, tmp_hi = col[0], nxt[0], col[1:], tmp[1:]
+    colf_lo, nxtf_hi, tmpf_hi = colf[:-1], nxtf[1:], tmpf[1:]
     for a in range(0, m, tile):
-        b = min(a + tile, m)
-        width = b - a
-        gconj, neg_gconj = gconj_chunk[a:b], neg_gconj_chunk[a:b]
-        col, nxt, tmp, u = (_head(x, width) for x in (ws.col, ws.nxt, ws.tmp, ws.u))
+        b = a + tile
+        neg_gconj = neg_gconj_chunk[a:b]
         np.copyto(col, seed[:, a:b])
-        # Float views (re, im interleaved) for the sums, the differences and
-        # the scalings by a real factor. numpy divides by c + 0j as
-        # (re + im*0) * (1/c), so the bytes match complex arithmetic up to
-        # signed zeros, which |u|^2 erases.
-        colf, nxtf, tmpf, uf = (x.view(float) for x in (col, nxt, tmp, u))
-        col0, nxt0, col_hi, tmp_hi = col[0], nxt[0], col[1:], tmp[1:]
-        colf_lo, nxtf_hi, tmpf_hi = colf[:-1], nxtf[1:], tmpf[1:]
-        # Full-shape, contiguous operands: a broadcast or strided one costs
-        # numpy a buffered iteration, with its allocations, on every call.
-        # Only a narrow last tile copies its factors, once.
-        root_lo = np.ascontiguousarray(root_n[:, :2 * width])
-        tile_signs = np.ascontiguousarray(signs[:, :width])
-        gconj_rows = _head(ws.gconj_rows, width)
-        np.copyto(gconj_rows, gconj)
+        np.copyto(gconj_rows, gconj_chunk[a:b])
 
         np.multiply(amps[0], col, out=u)  # accumulate sum_j v_j * D(g)|j>
         for j in range(1, j_max + 1):
             np.multiply(neg_gconj, col0, out=nxt0)
-            np.multiply(root_lo, colf_lo, out=nxtf_hi)
+            np.multiply(root_n, colf_lo, out=nxtf_hi)
             np.multiply(gconj_rows, col_hi, out=tmp_hi)
             np.subtract(nxtf_hi, tmpf_hi, out=nxtf_hi)
             np.multiply(nxtf, inv_root[j], out=colf)
@@ -271,10 +254,9 @@ def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
 
         # signs * |u|^2 elementwise, then each point's levels made contiguous,
         # so the sum reduces in the same (pairwise) order for every tile width.
-        w2, rows = _head(ws.w2, width), ws.rows[:width]
         np.absolute(u, out=w2)
         np.square(w2, out=w2)
-        np.multiply(tile_signs, w2, out=w2)
+        np.multiply(signs, w2, out=w2)
         np.copyto(rows, w2.T)
         w = np.sum(rows, axis=1, out=W[start + a:start + b])
         np.multiply(2.0 / math.pi, w, out=w)
@@ -293,38 +275,30 @@ def _run_workers(run, items, workspace=None, serial=False):
 
     This is the library's one way to start threads. The items (a sequence) go
     to min(_cpu_count(), len(items), _MAX_WORKERS) workers, or to one when
-    ``serial``; the first is the caller's own thread. Each worker takes the
-    next item under a lock, and none takes another once one has failed, so an
-    item left untaken keeps ``(None, None)``. ``ws`` is the worker's own
-    ``workspace()``, made on the calling thread, or None without a factory.
-    Every thread is joined before this returns, or raises an exception that
-    is not an ``Exception`` (KeyboardInterrupt, SystemExit).
+    ``serial``; the first is the caller's own thread. Worker k runs items k,
+    k + workers, ... in turn and stops at its own first failure, so its later
+    items keep ``(None, None)``; workers share no lock and no flag. ``ws`` is
+    the worker's own ``workspace()``, made on the calling thread, or None
+    without a factory. Every thread is joined before this returns, or raises
+    an exception that is not an ``Exception`` (KeyboardInterrupt, SystemExit).
     """
     results = [(None, None)] * len(items)
-    workers = 1 if serial else min(_cpu_count(), len(items), _MAX_WORKERS)
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
-    failed = False
+    workers = 1 if serial else max(1, min(_cpu_count(), len(items), _MAX_WORKERS))
 
-    def work(ws):
-        nonlocal failed
-        while True:
-            with lock:
-                i = None if failed else next(pending, None)
-            if i is None:
-                return
+    def work(k, ws):
+        for i in range(k, len(items), workers):
             try:
                 results[i] = (run(items[i], ws), None)
             except BaseException as exc:  # handed to the caller
                 results[i] = (None, exc)
-                failed = True
+                return
 
-    spaces = [workspace() if workspace else None for _ in range(max(workers, 1))]
-    threads = [threading.Thread(target=work, args=(ws,)) for ws in spaces[1:]]
+    spaces = [workspace() if workspace else None for _ in range(workers)]
+    threads = [threading.Thread(target=work, args=(k, spaces[k])) for k in range(1, workers)]
     try:
         for t in threads:
             t.start()
-        work(spaces[0])
+        work(0, spaces[0])
     finally:
         for t in threads:
             if t.ident is not None:  # started
@@ -347,14 +321,15 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     The displaced amplitudes come from the column recurrence
     D(g)|j> = (a^dag - conj(g)) D(g)|j-1> / sqrt(j), seeded with the coherent
     column D(g)|0>, accumulating only the Fock components where v has support.
-    Grid points are taken in tiles of max(1, _TILE_BYTES // (16 * cutoff))
-    points: the whole recurrence and the parity sum run on one tile before the
-    next, so the recurrence buffers stay in cache and memory does not grow
-    with the grid. Chunks of _CHUNK_TILES tiles share one seed computation and
-    are spread over _run_workers' threads; numpy releases the interpreter lock
-    inside each ufunc, so the threads overlap. Each grid point gets the same
-    arithmetic whatever the tile, chunk or thread, so W does not depend on any
-    of them.
+    The grid points, padded with fewer copies of the origin than there are
+    tiles (their values are dropped), are split into the fewest equal tiles of
+    at most max(1, _TILE_BYTES // (16 * cutoff)) points: the whole recurrence
+    and the parity sum run on one tile before the next, so the recurrence
+    buffers stay in cache and memory does not grow with the grid. Chunks of
+    _CHUNK_TILES tiles share one seed computation and are spread over
+    _run_workers' threads; numpy releases the interpreter lock inside each
+    ufunc, so the threads overlap. Each grid point gets the same arithmetic
+    whatever the tile, chunk or thread, so W does not depend on any of them.
 
     When the normalized amplitudes satisfy conj(v_n) = (-1)^n v_n exactly, as
     every cat_state's do (both lobes lie on the p axis), W(-x, p) = W(x, p):
@@ -384,14 +359,16 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         cols, back = xs, None
     gamma = -(cols[None, :] + 1j * ps[:, None]).ravel()  # grid points, row-major
     G = gamma.size
-    tile = min(G, max(1, _TILE_BYTES // (16 * cutoff)))
-    chunk = min(G, _CHUNK_TILES * tile)
-    starts = range(0, G, chunk)
+    tiles = -(-G // max(1, _TILE_BYTES // (16 * cutoff)))
+    tile = -(-G // tiles)
+    chunk = min(tiles, _CHUNK_TILES) * tile
+    gamma = np.concatenate([gamma, np.zeros(tiles * tile - G, dtype=complex)])
+    starts = range(0, gamma.size, chunk)
 
     inv_root = [0.0] + [1.0 / math.sqrt(n) for n in range(1, cutoff)]
     root_n = np.repeat(np.sqrt(np.arange(1, cutoff))[:, None], 2 * tile, axis=1)  # a tile's float columns
     signs = np.repeat(level_signs[:, None], tile, axis=1)
-    W = np.empty(G)
+    W = np.empty(gamma.size)
 
     def run_chunk(start, ws):
         _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs)
@@ -399,7 +376,7 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     for _, error in _run_workers(run_chunk, starts, lambda: _WignerWorkspace(cutoff, chunk, tile)):
         if error is not None:
             raise error
-    W = W.reshape(ps.size, cols.size)
+    W = W[:G].reshape(ps.size, cols.size)
     if back is not None:
         W = W[:, back]
     # Far from the state the recurrence amplifies rounding error without bound.

@@ -164,13 +164,13 @@ class TestSolve:
         assert "residual trace" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["--guess=1e200,1e200,1e200"],  # every residual overflows
-        ["--guess=0.5,1e100,1.0", "--fix", "eps"],  # converges with Jacobian rank 0
-    ], ids=["overflowing-guess", "rank-deficient-point"])
+        ["--branch", "+", "--guess=1e200,1e200,1e200"],  # every residual overflows
+        ["--branch", "+", "--guess=0.5,1e100,1.0", "--fix", "eps"],  # Jacobian rank 0
+        ["--branch=-", "--guess=0.8,-0.3,1.0", "--fix", "eps"],  # every start reaches rabi ~ 0
+    ], ids=["overflowing-guess", "rank-deficient-point", "undriven-ion"])
     def test_unsolvable_guess_exits_3(self, tmp_path, capfd, argv):
         out = tmp_path / "x.json"
-        code = main(["solve", "--order", "3", "--eta", "0.3", "--branch", "+", *argv,
-                     "--out", str(out)])
+        code = main(["solve", "--order", "3", "--eta", "0.3", *argv, "--out", str(out)])
         captured = capfd.readouterr()
         assert code == 3 and not out.exists()
         assert captured.out == "" and "residual trace" in captured.err
@@ -327,6 +327,13 @@ class TestConfigAndEnvironment:
         assert main(["oracle", "--omega", "0.5", "--eta", "0.1",
                      "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_config_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["solve", "--order", "1", "--eta", "0.2", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: config file must hold a JSON object"]
+
     def test_bad_config_path(self, tmp_path):
         code = main(
             ["solve", "--order", "1", "--eta", "0.2", "--branch", "+",
@@ -364,6 +371,21 @@ class TestUsageErrors:
     def test_oracle_count_below_one(self, tmp_path, count):
         assert main(["oracle", "--omega", "0.5", "--eta", "0.1", "--count", count,
                      "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--eta", "0.3"], "--order"),
+        (["solve", "--order", "3"], "--eta"),
+        (["solve", "--order", "2", "--eta", "0.1"], "--omega"),
+        (["cat"], "--eta"),
+        (["oracle", "--eta", "0.1"], "--omega"),
+        (["oracle", "--omega", "0.5"], "--eta"),
+    ], ids=["solve-order", "solve-eta", "solve-order2-omega", "cat-eta", "oracle-omega",
+            "oracle-eta"])
+    def test_missing_required_flag(self, tmp_path, capsys, argv, flag):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
 
     @pytest.mark.parametrize(
         "argv",

@@ -127,7 +127,7 @@ def vector_terminate_general(order, branch, eta, guess=None, *, fix=None, cutoff
     Each residual comes from the ndarray recurrence. The starts keep a pinned
     entry at its guess, and a start ends where its residual or Jacobian is not
     finite, as the library's do; a converged point with rank below 2 is
-    rejected, as one with rabi < 0 is.
+    rejected, as one with rabi < 1e-8 (the undriven ion) is.
     """
     g = eta / 2.0
     free = [k for k, name in enumerate(("rabi", "eps", "c0")) if name != fix]
@@ -189,7 +189,7 @@ def vector_terminate_general(order, branch, eta, guess=None, *, fix=None, cutoff
         if np.all(np.isfinite(J)):
             svals = np.linalg.svd(J, compute_uv=False)
             rank = int(np.sum(svals > 1e-6 * max(svals[0], 1e-300)))
-        if rabi < 0 or rank < 2:
+        if rabi < 1e-8 or rank < 2:
             trace[-1] = float("inf")
             continue
         sol = _solution_from_point(order, branch, eta, rabi, eps, c0)
@@ -476,7 +476,7 @@ class TestColumnMajorWigner:
         assert single.tobytes() == row_major_wigner(vs[0], np.array([0.0]), np.array([0.0])).tobytes()
 
     @pytest.mark.parametrize("cutoff", [40, 150, 400])
-    def test_tiles_match_row_major_bytes(self, cutoff):
+    def test_tiles_match_row_major_bytes(self, cutoff, monkeypatch):
         basis = FockBasis(cutoff=cutoff, spin_dim=1)
         tile = max(1, states._TILE_BYTES // (16 * cutoff))
         rng = np.random.default_rng(cutoff)
@@ -492,13 +492,21 @@ class TestColumnMajorWigner:
             return a
 
         # one point, fewer points than a tile, two whole tiles, two tiles plus one
-        shapes = [(1, 1), (1, tile - 1), (2, tile), (1, 2 * tile + 1), (3, 5)]
-        for v in vs:
-            for n_p, n_x in shapes:
-                xs, ps = axis(n_x), -axis(n_p)
-                W = wigner_grid(v, xs, ps)
-                assert W.shape == (n_p, n_x)
-                assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes(), (cutoff, n_p, n_x)
+        grids = [(axis(n_x), -axis(n_p))
+                 for n_p, n_x in [(1, 1), (1, tile - 1), (2, tile), (1, 2 * tile + 1), (3, 5)]]
+        # tile + 1, 2 * tile + 1 and 5 * tile - 1 evaluated points, at distinct |x|
+        # so that the cat evaluates every one: 2 and 3 equal tiles narrower than
+        # the most a tile may take, and 5 full ones, the last padded by one point
+        grids += [(np.linspace(0.25, 3.0, n), np.array([-0.5]))
+                  for n in (tile + 1, 2 * tile + 1, 5 * tile - 1)]
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            for v in vs:
+                for xs, ps in grids:
+                    W = wigner_grid(v, xs, ps)
+                    assert W.shape == (ps.size, xs.size)
+                    assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes(), (
+                        cutoff, cpus, ps.size, xs.size)
 
     @pytest.mark.parametrize("cutoff", [40, 150])
     def test_chunks_match_row_major_bytes(self, cutoff, monkeypatch):
@@ -608,7 +616,10 @@ class TestMirroredWigner:
             for xs in self.axes().values():
                 evaluated.clear()
                 assert wigner_grid(v, xs, ps).tobytes() == row_major_wigner(v, xs, ps).tobytes()
-                assert sum(g.size for g in evaluated) == xs.size * ps.size
+                points = xs.size * ps.size
+                tiles = -(-points // max(1, states._TILE_BYTES // (16 * basis.cutoff)))
+                # every grid point, plus fewer copies of the origin than there are tiles
+                assert points <= sum(g.size for g in evaluated) < points + tiles
 
     def test_every_cat_is_mirror_invariant(self):
         """conj(v_n) = (-1)^n v_n holds exactly for the normalized cat amplitudes."""

@@ -150,3 +150,45 @@ def test_only_states_starts_threads():
     reader of the CPU allowance."""
     sites = {p.name: thread_sites(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert [name for name, lines in sorted(sites.items()) if lines] == ["states.py"]
+
+
+#: threading's synchronisation primitives: workers that share nothing need none.
+SYNC_PRIMITIVES = {"Lock", "RLock", "Condition", "Event", "Semaphore", "BoundedSemaphore",
+                   "Barrier"}
+
+
+def thread_uses(source: str):
+    """``(where, name)`` for each reference to ``Thread`` or to a primitive in
+    SYNC_PRIMITIVES, by attribute, bare name or import; ``where`` is the
+    top-level function (or class) that holds it, or ``<module>``."""
+    uses = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            uses += [(where, n) for n in names if n == "Thread" or n in SYNC_PRIMITIVES]
+    return uses
+
+
+def test_thread_use_guard_flags_threads_and_primitives():
+    source = ("import threading\nfrom threading import Event\n"
+              "def run():\n    t = threading.Thread(target=len)\n    lock = threading.Lock()\n"
+              "class Pool:\n    def start(self):\n        return Thread()\n"
+              "def other():\n    return threading.get_ident()\n")
+    assert thread_uses(source) == [("<module>", "Event"), ("run", "Thread"), ("run", "Lock"),
+                                   ("Pool", "Thread")]
+
+
+def test_only_the_runner_makes_threads_and_nothing_locks():
+    """Only states._run_workers constructs a Thread, and its workers share no
+    lock, event, condition or semaphore, so no module creates one."""
+    uses = {p.name: thread_uses(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert {name: found for name, found in uses.items() if found} == {
+        "states.py": [("_run_workers", "Thread")]}

@@ -163,6 +163,13 @@ class TestCase1:
         assert devs_b1[0] > devs_b1[1] > devs_b1[2]
         assert devs_c0[-1] < 2e-4 and devs_b1[-1] < 1e-4
 
+    def test_vanishing_denominator_is_a_pole(self):
+        # eta = 2^-20 and eps = (eta^2 - 1)/2 make the radicand exactly 0 (rabi = 0)
+        # and 1 + rabi/2 + 2*eps - 2g^2 exactly 2^-41, below POLE_TOL
+        with pytest.raises(PoleError, match="order-1 coefficient denominator") as exc_info:
+            case1_closed_form(2.0**-20, (2.0**-40 - 1.0) / 2.0, 1)
+        assert exc_info.value.value == 2.0**-41
+
 
 # ---------------------------------------------------------------------------
 # order-2 quadratic and closed form
@@ -253,6 +260,15 @@ class TestCase2:
     def test_zero_eta_rejected(self):
         with pytest.raises(SingularRecurrenceError):
             case2_closed_form(0.5, 0.0)
+
+    def test_flat_c0_condition_is_a_pole(self):
+        # d(c_2 - b_2)/dc0 changes sign at a plus-branch root between these two
+        # neighbouring floats (bisection in rabi at eta = 0.5); at either, c0 is
+        # undetermined
+        for rabi in (0.4221806717057348, 0.42218067170573487):
+            with pytest.raises(PoleError, match="c0 determination degenerate") as exc_info:
+                case2_closed_form(rabi, 0.5)
+            assert exc_info.value.value < 1e-14
 
 
 def fig_order2_energies(omega, eta):
@@ -390,19 +406,34 @@ class TestTerminateGeneral:
     @pytest.mark.parametrize(
         "order, branch, eta, guess, fix",
         [
-            (3, 1, 0.3, (0.5, 0.2, -1.0), "eps"),
-            (1, 1, 0.2, (0.5, 0.2, 0.5), "eps"),
+            (3, 1, 0.3, (1.0, 0.2, -1.0), "eps"),
+            (1, 1, 0.2, (1.0, 0.2, 0.25), "eps"),
             (1, 1, 0.2, (1.5, -0.6, 0.5), "rabi"),
-            (1, -1, 0.3, (1.5, -0.2, -1.0), "eps"),
+            (1, -1, 0.3, (1.0, -0.2, -0.25), "eps"),
         ],
     )
     def test_pinned_entry_keeps_its_guess(self, order, branch, eta, guess, fix):
-        # each of these used to return the jittered value of its pinned entry
+        # the guess itself fails and a jittered start converges, which returned
+        # the jittered value of the pinned entry when the jitter reached it too
         sol = terminate_general(order, branch, eta, guess=guess, fix=fix)
         if fix == "rabi":
             assert sol.params.rabi == guess[0]
         else:
             assert -sol.params.detuning / 2.0 == guess[1]
+            assert sol.params.rabi > 1.0  # a driven point, not the undriven ion
+
+    @pytest.mark.parametrize("order, branch, eta, guess", [
+        (3, 1, 0.3, (0.5, 0.2, -1.0)),
+        (1, 1, 0.2, (0.5, 0.2, 0.5)),
+        (1, -1, 0.3, (1.5, -0.2, -1.0)),
+        (3, -1, 0.3, (0.8, -0.3, 1.0)),
+    ])
+    def test_undriven_ion_is_rejected(self, order, branch, eta, guess):
+        """At rabi = 0, E = N + branch*eps solves the system for every eps, so
+        these starts all slide to rabi near 0, which is rejected as out of domain."""
+        with pytest.raises(NoSolutionFoundError) as exc_info:
+            terminate_general(order, branch, eta, guess=guess, fix="eps")
+        assert exc_info.value.residual_trace == [math.inf] * 8
 
     def test_order3_solution_from_heuristic_starts(self):
         sol = terminate_general(3, 1, 0.3)
@@ -411,6 +442,13 @@ class TestTerminateGeneral:
         assert sol.energy == pytest.approx(3 - sol.params.detuning / 2.0, abs=1e-12)
         assert sol.jacobian_rank == 2
         assert sol.oracle_gap is not None and sol.oracle_gap < 1e-6
+
+    def test_energy_off_the_truncated_spectrum_is_rejected(self):
+        """The heuristic starts converge at any cutoff (test above), but at cutoff
+        4 their energy is no eigenvalue of the truncated Hamiltonian."""
+        with pytest.raises(NoSolutionFoundError) as exc_info:
+            terminate_general(3, 1, 0.3, cutoff=4)
+        assert exc_info.value.residual_trace == [math.inf] * 8
 
     def test_no_convergence_reports_trace(self):
         with pytest.raises(NoSolutionFoundError) as exc_info:

@@ -346,21 +346,24 @@ class TestRunWorkers:
         assert threading.active_count() == before
 
     def test_run_stops_after_a_failure(self, monkeypatch):
+        """Worker k takes items k, k + workers, ... and stops at its own failure."""
         ran = []
 
         def run(item, ws):
             ran.append(item)
-            if item == 0:
-                raise RuntimeError("item 0")
-            time.sleep(0.05)  # long enough for item 0's failure to be recorded
+            if item == 3:
+                raise RuntimeError("item 3")
+            return item
 
         for cpus in (1, 2):
             monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
             ran.clear()
             results = states._run_workers(run, range(10))
-            assert isinstance(results[0][1], RuntimeError)
-            assert set(ran) <= {0, 1}  # at most the item another worker already held
-            assert results[2:] == [(None, None)] * 8
+            assert isinstance(results[3][1], RuntimeError)
+            taken = [i for i in range(10) if i < 3 or (i - 3) % cpus]  # item 3's worker stops
+            assert sorted(ran) == sorted(taken + [3])
+            assert [value for value, _ in results] == [i if i in taken else None for i in range(10)]
+            assert all(exc is None for i, (_, exc) in enumerate(results) if i != 3)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         """Where os.sched_getaffinity is missing (macOS, Windows), os.cpu_count() counts."""
