@@ -3,19 +3,21 @@
 Every analytic object in this package (closed forms, terminated series, RWA
 spectra) is checked against direct numerical diagonalization of the same
 Hamiltonian. This module owns that machinery: the eigensolver wrapper, eigenpair
-matching with degeneracy awareness, cutoff-convergence reporting, and the
-combined validator for series eigensolutions.
+matching with degeneracy awareness, an O(cutoff) count of the levels below an
+energy, cutoff-convergence reporting, and the combined validator for series
+eigensolutions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import NonHermitianError, TruncationError
-from .model import FockBasis, ModelParams, OperatorMatrix, build_h_transformed
+from .model import FockBasis, ModelParams, OperatorMatrix, _h_transformed_band, build_h_transformed
 from .states import _run_workers
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "ValidationReport",
     "hermitian_eigensystem",
     "nearest_eigenpair",
+    "levels_below",
     "cutoff_convergence",
     "validate_series_solution",
 ]
@@ -132,6 +135,78 @@ def nearest_level(p: ModelParams, cutoff: int, target: float) -> float:
     """
     spec = hermitian_eigensystem(build_h_transformed(p, FockBasis(cutoff)))
     return nearest_eigenpair(spec, target).value
+
+
+def levels_below(p: ModelParams, cutoff: int, sigma: float) -> int:
+    """How many eigenvalues of the transformed Hamiltonian at ``cutoff`` lie below ``sigma``.
+
+    By Sylvester's law of inertia this is the number of negative eigenvalues
+    of the 2x2 pivot blocks S_n of the block LDL^T factorization of
+    H_I - sigma (Barth, Martin & Wilkinson, Numer. Math. 9, 1967). Over the
+    ``2n+s`` level blocks H_I is block tridiagonal: block n is
+    A_n = [[down_n, eps], [eps, up_n]], and it couples to block n-1 through
+    h_n sigma_x with h_n = g sqrt(n) (see ``model._h_transformed_band``). So
+
+        S_0 = A_0 - sigma,   S_n = A_n - sigma - (h_n^2 / det S_{n-1}) P(S_{n-1}),
+
+    with P([[a, b], [b, d]]) = [[a, -b], [-b, d]], the adjugate of S_{n-1}
+    conjugated by sigma_x. S_n has one negative eigenvalue when its
+    determinant is negative, and two when the determinant is positive and
+    the trace negative. The loop runs on Python floats and builds no matrix:
+    O(cutoff).
+
+    The count is exact unless sigma lies within rounding of a level of H_I or
+    of one of its leading blocks. Zero pivot: when a block is exactly
+    singular (at eps = 0 and sigma = g^2 - rabi/2, S_0 is), the count starts
+    again at sigma - 2^-50 max(1, |sigma|). So a level at sigma itself is not
+    counted, and neither is one less than that step below it. Raises
+    OverflowError when the factorization overflows, which takes entries
+    near 1e154, and ValueError for a sigma that is not finite.
+    """
+    down, up, eps, hop = _h_transformed_band(p, FockBasis(cutoff).cutoff)
+    hop = hop.tolist()
+    sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
+    while True:
+        count = _block_inertia((down - sigma).tolist(), (up - sigma).tolist(), hop, eps)
+        if count is not None:
+            return count
+        sigma -= 2.0**-50 * max(1.0, abs(sigma))
+
+
+def has_level(p: ModelParams, cutoff: int, energy: float) -> bool:
+    """Whether H_I at ``cutoff`` has a level in [energy - EIGEN_GAP_TOL, energy + EIGEN_GAP_TOL).
+
+    Two ``levels_below`` counts; no matrix is built.
+    """
+    return levels_below(p, cutoff, energy + EIGEN_GAP_TOL) > levels_below(
+        p, cutoff, energy - EIGEN_GAP_TOL)
+
+
+def _block_inertia(xs: list, ys: list, hop: list, eps: float) -> Optional[int]:
+    """The negative eigenvalues of the pivot blocks of H_I - sigma (see ``levels_below``).
+
+    ``xs`` and ``ys`` are the diagonals of H_I - sigma at each level, ``hop``
+    the h_n. None when a block is exactly singular.
+    """
+    count = 0
+    a = b = d = 0.0
+    det = 1.0  # h_0 = 0: block 0 couples to nothing
+    for x, y, h in zip(xs, ys, hop):
+        k = h * h / det
+        a, b, d = x - k * a, eps + k * b, y - k * d
+        det = a * d - b * b
+        if det < 0.0:
+            count += 1
+        elif det > 0.0:
+            if a + d < 0.0:
+                count += 2
+        elif det == 0.0:
+            return None
+        else:
+            raise OverflowError(f"the level count overflowed at cutoff {len(xs)}")
+    return count
 
 
 def cutoff_convergence(

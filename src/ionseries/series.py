@@ -28,7 +28,7 @@ which at fixed lamb_dicke is a one-dimensional curve in (rabi, eps, c0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +43,7 @@ from .errors import (
     TruncationError,
 )
 from .model import FockBasis, ModelParams, _displacement_entries, _require_spin, derive_params
-from .oracle import EIGEN_GAP_TOL, nearest_level
+from .oracle import has_level, nearest_level
 from .states import StateVector, _within_tail_budget
 
 __all__ = [
@@ -184,8 +184,10 @@ class SeriesSolution:
 
     energy = order + branch*eps holds by construction; termination_residual is
     the max-norm of (b_{N+1}, c_{N+1}, c_N - branch*b_N) re-evaluated through the
-    recurrences. ``jacobian_rank`` and ``oracle_gap`` are filled by the numeric
-    solver when available.
+    recurrences. ``jacobian_rank`` and ``oracle_cutoff`` are filled by the
+    numeric solver: the rank of the residual Jacobian, and the cutoff at which
+    it counted a level of the transformed Hamiltonian within EIGEN_GAP_TOL of
+    the energy.
     """
 
     order: int
@@ -195,7 +197,8 @@ class SeriesSolution:
     coeffs: SeriesCoefficients
     termination_residual: float
     jacobian_rank: Optional[int] = None
-    oracle_gap: Optional[float] = None
+    oracle_cutoff: Optional[int] = None
+    _oracle_gap: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -211,6 +214,18 @@ class SeriesSolution:
     @property
     def c0(self) -> float:
         return float(self.coeffs.c[0])
+
+    @property
+    def oracle_gap(self) -> Optional[float]:
+        """Distance from the energy to the nearest level of H_I at ``oracle_cutoff``.
+
+        None without an ``oracle_cutoff``. The one ``eigvalsh`` runs on the
+        first read, and its value is kept.
+        """
+        if self._oracle_gap is None and self.oracle_cutoff is not None:
+            level = nearest_level(self.params, self.oracle_cutoff, self.energy)
+            self._oracle_gap = float(abs(level - self.energy))
+        return self._oracle_gap
 
 
 def _solution_from_point(
@@ -485,14 +500,19 @@ def _max_abs(values) -> float:
     return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
 
 
-def _norm(values) -> float:
+def _norm(values, buf: Optional[np.ndarray] = None) -> float:
     """``np.linalg.norm`` of a float vector: the square root of ``ndarray.dot``.
 
     OpenBLAS's dot may fuse multiply-adds, so a Python sum of squares can round
-    differently; the Newton path depends on every bit of this norm.
+    differently; the Newton path depends on every bit of this norm. ``buf``, a
+    float array of the vector's length, takes the values in place of a new
+    array.
     """
-    v = np.asarray(values, dtype=float)
-    return math.sqrt(v.dot(v))
+    if buf is None:
+        buf = np.asarray(values, dtype=float)
+    else:
+        buf[:] = values
+    return math.sqrt(buf.dot(buf))
 
 
 def terminate_general(
@@ -521,7 +541,9 @@ def terminate_general(
     ``guess`` is (rabi, eps, c0), tried first and then from 7 seeded jitters
     of itself; without one, 8 heuristic seeds are tried. The solution's energy
     is checked to be an eigenvalue of the transformed Hamiltonian (cutoff
-    ``cutoff``) within EIGEN_GAP_TOL.
+    ``cutoff``) within EIGEN_GAP_TOL by two level counts (``oracle.has_level``),
+    which build no matrix; the solution's ``oracle_gap`` runs its ``eigvalsh``
+    when read.
     Raises NoSolutionFoundError (with the per-start residual trace) if nothing
     converges. A start ends where its residual or Jacobian is not finite, and
     converged points with rabi < 1e-8 (the undriven ion) or a full Jacobian
@@ -585,10 +607,11 @@ def terminate_general(
         starts = [(s[0], branch * s[1], s[2]) for s in _HEURISTIC_SEEDS]
 
     trace = []
+    buf = np.empty(3)  # _norm's scratch for every residual of this call
     for start in starts:
         x = [float(v) for v in start]
         F = residual(x)
-        norm = _norm(F)
+        norm = _norm(F, buf)
         for _ in range(_MAX_ITER):
             size = _max_abs(F)  # inf or NaN when an entry is
             if size < _TOL:
@@ -601,12 +624,22 @@ def terminate_general(
             if not all(map(math.isfinite, step_list)):
                 break
             lam = 1.0
+            # A trial whose float sum of squares exceeds this is rejected without
+            # the numpy norm: both sums are within 3 ulp of the exact one, and
+            # norm * norm within 2 ulp of the last ``dot``, so its ``dot`` is
+            # larger and its norm no smaller. Here max|F| >= _TOL, so no square
+            # that decides it underflows; a NaN sum takes the numpy path.
+            above = norm * norm * (1.0 + 2.0**-40)
             for _ in range(30):
                 x_new = list(x)
                 for j, k in enumerate(free):
                     x_new[k] = x[k] + lam * step_list[j]
                 F_new = residual(x_new)
-                norm_new = _norm(F_new)
+                f0, f1, f2 = F_new
+                if f0 * f0 + f1 * f1 + f2 * f2 > above:
+                    lam *= 0.5
+                    continue
+                norm_new = _norm(F_new, buf)
                 if math.isfinite(norm_new) and norm_new < norm:
                     x, F, norm = x_new, F_new, norm_new
                     break
@@ -634,11 +667,10 @@ def terminate_general(
             continue
         sol = _solution_from_point(order, branch, eta, rabi, eps, c0)
         sol.jacobian_rank = rank
-        gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
-        if gap > EIGEN_GAP_TOL:
+        if not has_level(sol.params, cutoff, sol.energy):
             trace[-1] = float("inf")
             continue
-        sol.oracle_gap = float(gap)
+        sol.oracle_cutoff = cutoff
         return sol
     raise NoSolutionFoundError(
         f"no order-{order} termination point found for branch {branch:+d}, "

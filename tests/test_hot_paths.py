@@ -127,7 +127,9 @@ def vector_terminate_general(order, branch, eta, guess=None, *, fix=None, cutoff
     Each residual comes from the ndarray recurrence. The starts keep a pinned
     entry at its guess, and a start ends where its residual or Jacobian is not
     finite, as the library's do; a converged point with rank below 2 is
-    rejected, as one with rabi < 1e-8 (the undriven ion) is.
+    rejected, as one with rabi < 1e-8 (the undriven ion) is. The energy check
+    is the dense one, the nearest ``eigvalsh`` level within EIGEN_GAP_TOL, so
+    equal bits also show that the library's level count agrees with it.
     """
     g = eta / 2.0
     free = [k for k, name in enumerate(("rabi", "eps", "c0")) if name != fix]
@@ -198,7 +200,7 @@ def vector_terminate_general(order, branch, eta, guess=None, *, fix=None, cutoff
         if gap > EIGEN_GAP_TOL:
             trace[-1] = float("inf")
             continue
-        sol.oracle_gap = float(gap)
+        sol._oracle_gap = float(gap)
         return sol
     raise NoSolutionFoundError("no termination point found", residual_trace=trace)
 
@@ -430,10 +432,14 @@ class TestFloatGaussNewton:
             assert series._max_abs(v).hex() == expected.hex(), v
 
     def test_norm_rounds_as_numpy(self):
+        """With and without the caller's buffer, which terminate_general passes."""
         rng = np.random.default_rng(3)
         for size in (2, 3):
+            buf = np.empty(size)
             for v in rng.standard_normal((3000, size)) * 10.0 ** rng.integers(-8, 8, (3000, 1)):
-                assert series._norm(v.tolist()).hex() == float(np.linalg.norm(v)).hex()
+                expected = float(np.linalg.norm(v)).hex()
+                assert series._norm(v.tolist()).hex() == expected
+                assert series._norm(tuple(v.tolist()), buf).hex() == expected
 
 
 class TestSharedDisplacement:

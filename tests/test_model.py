@@ -1,5 +1,6 @@
 """Parameter objects, basis, operators, Hamiltonian builders, and the frame map."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -138,6 +139,21 @@ class TestTransformedHamiltonian:
     def test_requires_spin_basis(self):
         with pytest.raises(BasisMismatchError):
             build_h_transformed(self.P, FockBasis(cutoff=6, spin_dim=1))
+
+    def test_entries_keep_their_bytes(self):
+        """sha256 of the entries over a seeded set of (params, cutoff), as the band
+        fill stored them before it read its entries from ``_h_transformed_band``."""
+        rng = np.random.default_rng(2020)
+        params = [ModelParams(0.5, 0.3, 0.0), ModelParams(0.0, 0.3, 0.7),
+                  ModelParams(0.0, 0.0, -0.0), ModelParams(1.2, 0.0, -0.4)]
+        params += [ModelParams(rng.uniform(0, 3), rng.uniform(0, 2), rng.uniform(-3, 3))
+                   for _ in range(40)]
+        digest = hashlib.sha256()
+        for p in params:
+            for cutoff in (2, 3, 17, 150, 401):
+                digest.update(build_h_transformed(p, FockBasis(cutoff)).entries.tobytes())
+        assert digest.hexdigest() == (
+            "90844b5866d6cc37f6a025fa8c8a7c87d63c0838f638f84e80fcc0cd3d97edb7")
 
 
 class TestLabHamiltonian:

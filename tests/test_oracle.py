@@ -4,14 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ionseries import model
-from ionseries.errors import NonHermitianError
+from ionseries.errors import InvalidBasisError, NonHermitianError
 from ionseries.model import FockBasis, ModelParams, OperatorMatrix, build_h_transformed
 from ionseries.oracle import (
     Spectrum,
+    EIGEN_GAP_TOL,
     cutoff_convergence,
+    has_level,
     hermitian_eigensystem,
+    levels_below,
     nearest_eigenpair,
     nearest_level,
     validate_series_solution,
@@ -97,6 +102,81 @@ class TestNearestEigenpair:
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
             nearest_eigenpair(Spectrum(np.array([]), None, cutoff=0), 1.0)
+
+
+def dense_levels(p, cutoff):
+    return np.linalg.eigvalsh(build_h_transformed(p, FockBasis(cutoff)).entries)
+
+
+class TestLevelsBelow:
+    """The O(cutoff) inertia count against the dense spectrum."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        cutoff=st.integers(2, 160),
+        rabi=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+        eta=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 30.0)),
+        detuning=st.one_of(st.just(0.0), st.floats(-6.0, 6.0)),
+        where=st.floats(-0.1, 1.1),
+        level=st.integers(0, 319),
+        offset=st.floats(-8.0, -2.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        near=st.booleans(),
+    )
+    def test_matches_dense_count_away_from_levels(
+        self, cutoff, rabi, eta, detuning, where, level, offset, sign, near
+    ):
+        """Equal to the dense count whenever sigma is 1e-9 scale or more from every
+        level: anywhere in the spectrum, or 1e-8 to 1e-2 scale from one level."""
+        p = ModelParams(rabi, eta, detuning)
+        w = dense_levels(p, cutoff)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        if near:
+            sigma = w[level % w.size] + sign * 10.0**offset * scale
+        else:
+            sigma = w[0] + where * (w[-1] - w[0])
+        assume(np.min(np.abs(w - sigma)) >= 1e-9 * scale)
+        assert levels_below(p, cutoff, sigma) == int(np.sum(w < sigma))
+
+    def test_matches_dense_count_at_cutoff_1000(self):
+        p = ModelParams(rabi=2.5, lamb_dicke=30.0, detuning=-1.3)
+        w = dense_levels(p, 1000)
+        sigmas = np.concatenate([w[::97] + 1e-6, w[50::131] - 1e-6, [w[0] - 1.0, w[-1] + 1.0]])
+        for sigma in sigmas:
+            assert levels_below(p, 1000, sigma) == int(np.sum(w < sigma)), sigma
+
+    @pytest.mark.parametrize("rabi, eta", [(0.8, 0.3), (0.5, 1.0), (0.0, 0.6)])
+    def test_singular_first_block_matches_dense_count(self, rabi, eta):
+        """At eps = 0 and sigma = g^2 - rabi/2 the first pivot block is singular
+        (the zero matrix at rabi = 0); the count restarts just below sigma."""
+        p = ModelParams(rabi, eta, 0.0)
+        sigma = -rabi / 2.0 + (eta / 2.0) ** 2
+        down, up, eps, _ = model._h_transformed_band(p, 2)
+        assert (down[0] - sigma) * (up[0] - sigma) - eps * eps == 0.0
+        assert levels_below(p, 40, sigma) == int(np.sum(dense_levels(p, 40) < sigma))
+
+    def test_level_at_sigma_is_not_counted(self):
+        """Uncoupled (eta = 0, eps = 0), the levels are n -/+ rabi/2: 1.5 is a double
+        level, so block 1 is exactly singular at sigma = 1.5."""
+        p = ModelParams(rabi=1.0, lamb_dicke=0.0, detuning=0.0)
+        assert levels_below(p, 10, 1.5) == 3  # -0.5, 0.5, 0.5
+        assert levels_below(p, 10, 1.5 + 1e-9) == 5
+
+    def test_overflow_and_bad_arguments_raise(self):
+        with pytest.raises(OverflowError):
+            levels_below(ModelParams(0.5, 1e154, 0.3), 150, 1.0)
+        with pytest.raises(ValueError):
+            levels_below(P_ANCHOR, 40, float("nan"))
+        with pytest.raises(InvalidBasisError):
+            levels_below(P_ANCHOR, 1, 0.5)
+
+    def test_has_level_within_the_gap_tolerance(self):
+        """The solver's check: a level 5e-7 away is accepted, one 2e-6 away is not."""
+        p = ModelParams(rabi=0.9, lamb_dicke=0.6, detuning=0.4)
+        for level in dense_levels(p, 150)[[0, 7, 40]]:
+            for sign in (-1.0, 1.0):
+                assert has_level(p, 150, level + sign * 0.5 * EIGEN_GAP_TOL)
+                assert not has_level(p, 150, level + sign * 2.0 * EIGEN_GAP_TOL)
 
 
 class TestCutoffConvergence:

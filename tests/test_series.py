@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ionseries as ions
-from ionseries import series
+from ionseries import oracle, series
 from ionseries.errors import (
     BasisMismatchError,
     ConstraintInfeasibleError,
@@ -443,6 +443,21 @@ class TestTerminateGeneral:
         assert sol.jacobian_rank == 2
         assert sol.oracle_gap is not None and sol.oracle_gap < 1e-6
 
+    def test_solver_runs_no_dense_eigensolve(self, monkeypatch):
+        """The check counts levels; only reading oracle_gap runs one eigvalsh, once."""
+        calls = []
+        eigensystem, build = oracle.hermitian_eigensystem, oracle.build_h_transformed
+        monkeypatch.setattr(oracle, "hermitian_eigensystem",
+                            lambda *a, **k: calls.append("eig") or eigensystem(*a, **k))
+        monkeypatch.setattr(oracle, "build_h_transformed",
+                            lambda *a, **k: calls.append("build") or build(*a, **k))
+        sol = terminate_general(3, 1, 0.3)
+        assert calls == [] and sol.oracle_cutoff == 150
+        assert sol.oracle_gap.hex() == "0x1.aa00000000000p-44"
+        assert calls == ["build", "eig"]
+        assert sol.oracle_gap.hex() == "0x1.aa00000000000p-44"
+        assert calls == ["build", "eig"]
+
     def test_energy_off_the_truncated_spectrum_is_rejected(self):
         """The heuristic starts converge at any cutoff (test above), but at cutoff
         4 their energy is no eigenvalue of the truncated Hamiltonian."""
@@ -595,6 +610,10 @@ class TestSeriesSolutionInvariants:
                 coeffs=good.coeffs,
                 termination_residual=0.0,
             )
+
+    def test_closed_form_has_no_oracle_gap(self):
+        sol = case1_closed_form(0.2, 0.0, 1)
+        assert sol.oracle_cutoff is None and sol.oracle_gap is None
 
     def test_order_floor(self):
         good = case1_closed_form(0.2, 0.0, 1)

@@ -68,7 +68,9 @@ def print_layer_times() -> None:
     """Print ``{layer: median seconds}`` as JSON on the last line of stdout.
 
     The order-1 point (eta, eps) = (0.3, -0.2) is the solution at both
-    cutoffs; the fig sweep writes into the working directory. The Wigner
+    cutoffs, and ``levels_below`` counts the levels below its energy plus
+    EIGEN_GAP_TOL, one half of the solver's check; the fig sweep writes into
+    the working directory. The Wigner
     layers time an 81 x 81 grid like ``cat --eta 0.5 --wigner=-2:2:0.05`` and
     one grid of the ``phase_space`` workload.
     """
@@ -76,7 +78,8 @@ def print_layer_times() -> None:
 
     from ionseries import cli
     from ionseries.model import FockBasis, build_h_transformed
-    from ionseries.oracle import hermitian_eigensystem, validate_series_solution
+    from ionseries.oracle import (
+        EIGEN_GAP_TOL, hermitian_eigensystem, levels_below, validate_series_solution)
     from ionseries.series import case1_closed_form, series_to_fock, terminate_general
     from ionseries.states import cat_state, wigner_grid
 
@@ -88,6 +91,8 @@ def print_layer_times() -> None:
         layers[f"build_h_transformed_c{cutoff}"] = functools.partial(
             build_h_transformed, sol.params, basis)
         layers[f"eigh_c{cutoff}"] = functools.partial(hermitian_eigensystem, H, True)
+        layers[f"levels_below_c{cutoff}"] = functools.partial(
+            levels_below, sol.params, cutoff, sol.energy + EIGEN_GAP_TOL)
         layers[f"series_to_fock_c{cutoff}"] = functools.partial(series_to_fock, sol, basis)
         layers[f"validate_series_solution_c{cutoff}"] = functools.partial(
             validate_series_solution, sol, basis)
