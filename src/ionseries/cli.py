@@ -463,11 +463,15 @@ def _build_parser() -> argparse.ArgumentParser:
             f"default $IONTRAP_CUTOFF or {DEFAULT_CUTOFF}){note}",
         )
 
-    def eta(sp, default=None, max_points=1):
+    def eta(sp, default=None, max_points=1, positive=False):
         def etas(text: str) -> List[float]:
             values = _range(max_points)(text)
             if values[-1] > MAX_ETA:
                 raise argparse.ArgumentTypeError(f"must be <= MAX_ETA = {MAX_ETA:g}, got {text!r}")
+            if positive and not values[0] > 0:
+                raise argparse.ArgumentTypeError(
+                    f"must be > 0, got {text!r}: the series recurrences divide by g = eta/2, "
+                    "so the eta -> 0 limit is reached only through small eta > 0")
             return values
 
         sp.add_argument(
@@ -482,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand("solve", run_solve, "emit one terminated-series solution")
     cutoff(sp)
-    eta(sp)
+    eta(sp, positive=True)
     sp.add_argument("--order", type=int, default=None, help="termination order N >= 1")
     sp.add_argument("--branch", type=_branches, default=(1, -1), help="+ or - (default both)")
     sp.add_argument("--omega", type=_finite, default=None, help="rabi frequency (order 2)")

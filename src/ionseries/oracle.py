@@ -163,39 +163,48 @@ def levels_below(p: ModelParams, cutoff: int, sigma: float) -> int:
     OverflowError when the factorization overflows, which takes entries
     near 1e154, and ValueError for a sigma that is not finite.
     """
-    down, up, eps, hop = _h_transformed_band(p, FockBasis(cutoff).cutoff)
-    hop = hop.tolist()
-    sigma = float(sigma)
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma!r}")
-    while True:
-        count = _block_inertia((down - sigma).tolist(), (up - sigma).tolist(), hop, eps)
-        if count is not None:
-            return count
-        sigma -= 2.0**-50 * max(1.0, abs(sigma))
+    return _count_below(_band_lists(p, cutoff), sigma)
 
 
 def has_level(p: ModelParams, cutoff: int, energy: float) -> bool:
     """Whether H_I at ``cutoff`` has a level in [energy - EIGEN_GAP_TOL, energy + EIGEN_GAP_TOL).
 
-    Two ``levels_below`` counts; no matrix is built.
+    Two ``levels_below`` counts on one band; no matrix is built.
     """
-    return levels_below(p, cutoff, energy + EIGEN_GAP_TOL) > levels_below(
-        p, cutoff, energy - EIGEN_GAP_TOL)
+    band = _band_lists(p, cutoff)
+    return _count_below(band, energy + EIGEN_GAP_TOL) > _count_below(band, energy - EIGEN_GAP_TOL)
 
 
-def _block_inertia(xs: list, ys: list, hop: list, eps: float) -> Optional[int]:
+def _band_lists(p: ModelParams, cutoff: int) -> tuple:
+    """``model._h_transformed_band`` as the lists (down, up, hop) and the float eps."""
+    down, up, eps, hop = _h_transformed_band(p, FockBasis(cutoff).cutoff)
+    return down.tolist(), up.tolist(), hop.tolist(), eps
+
+
+def _count_below(band: tuple, sigma: float) -> int:
+    """``levels_below`` on the ``_band_lists`` of H_I, with its zero-pivot restart."""
+    sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
+    while True:
+        count = _block_inertia(*band, sigma)
+        if count is not None:
+            return count
+        sigma -= 2.0**-50 * max(1.0, abs(sigma))
+
+
+def _block_inertia(down: list, up: list, hop: list, eps: float, sigma: float) -> Optional[int]:
     """The negative eigenvalues of the pivot blocks of H_I - sigma (see ``levels_below``).
 
-    ``xs`` and ``ys`` are the diagonals of H_I - sigma at each level, ``hop``
-    the h_n. None when a block is exactly singular.
+    ``down`` and ``up`` are the diagonals of H_I at each level, ``hop`` the
+    h_n. None when a block is exactly singular.
     """
     count = 0
     a = b = d = 0.0
     det = 1.0  # h_0 = 0: block 0 couples to nothing
-    for x, y, h in zip(xs, ys, hop):
+    for x, y, h in zip(down, up, hop):
         k = h * h / det
-        a, b, d = x - k * a, eps + k * b, y - k * d
+        a, b, d = (x - sigma) - k * a, eps + k * b, (y - sigma) - k * d
         det = a * d - b * b
         if det < 0.0:
             count += 1
@@ -205,7 +214,7 @@ def _block_inertia(xs: list, ys: list, hop: list, eps: float) -> Optional[int]:
         elif det == 0.0:
             return None
         else:
-            raise OverflowError(f"the level count overflowed at cutoff {len(xs)}")
+            raise OverflowError(f"the level count overflowed at cutoff {len(down)}")
     return count
 
 

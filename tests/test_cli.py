@@ -405,6 +405,30 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("eta", ["0", "-0.0", "-0.2"])
+    @pytest.mark.parametrize("order", ["1", "2", "3"])
+    def test_solve_refuses_eta_at_or_below_zero(self, tmp_path, capsys, order, eta):
+        """Every order gets one refusal from --eta's type: exit 2, no stdout,
+        nothing written, and a message naming the eta -> 0 limit."""
+        out = tmp_path / "x.json"
+        argv = ["solve", "--order", order, f"--eta={eta}", "--omega", "0.5", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(err) == 1 and "must be > 0" in err[0] and "eta -> 0 limit" in err[0]
+
+    def test_solve_refuses_eta_zero_from_config(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"eta": 0, "order": 3}))
+        assert main(["solve", "--config", str(config)]) == 2
+        assert "eta -> 0 limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["cat"], ["oracle", "--omega", "0.5", "--count", "2"]])
+    def test_cat_and_oracle_accept_eta_zero(self, tmp_path, command):
+        assert main([*command, "--eta", "0", "--out", str(tmp_path / "x.json")]) == 0
+
+
 class TestFlagsPerSubcommand:
     @pytest.mark.parametrize("spelling", ["+1,-1", "plus", "-,+", "minus, plus"])
     def test_branch_spellings(self, tmp_path, spelling):

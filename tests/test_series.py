@@ -486,6 +486,41 @@ class TestTerminateGeneral:
         assert not any(t < 1e-10 for t in exc_info.value.residual_trace)
         assert "DLASCL" not in capfd.readouterr().out
 
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_step_is_numpy_lstsq_bit_for_bit(self, columns):
+        """The solver's step, the ``dgelsd`` gufunc on the solver's buffers, is
+        ``np.linalg.lstsq(J, -F, rcond=None)[0]`` bit for bit: on seeded systems
+        that are well posed, rank deficient, near singular, badly scaled or zero."""
+        rng = np.random.default_rng(columns)
+        systems = [np.zeros((3, columns))]
+        for _ in range(40):
+            J = rng.standard_normal((3, columns))
+            deficient, near = J.copy(), J.copy()
+            deficient[:, -1] = 2.0 * J[:, 0]
+            near[:, -1] = J[:, 0] + 1e-13 * rng.standard_normal(3)
+            scaled = J * 10.0 ** rng.integers(-12, 13, size=columns)
+            systems += [J, deficient, near, scaled]
+        for J in systems:
+            F = rng.standard_normal(3)
+            rhs = np.empty((3, 1))
+            rhs[:, 0] = np.negative(F)
+            with np.errstate(**series._LSTSQ_ERRSTATE):
+                step = series._lstsq_step(J, rhs)
+            reference = np.linalg.lstsq(J, np.negative(F), rcond=None)[0]
+            assert np.array(step).tobytes() == reference.tobytes()
+
+    def test_failed_step_raises_linalg_error(self, monkeypatch):
+        """The step runs under ``np.linalg.lstsq``'s error state, so a gufunc that
+        flags an invalid result raises LinAlgError out of the solver, as the
+        wrapper's "SVD did not converge" does."""
+        def flagging(J, rhs, rcond, signature):
+            np.sqrt(np.full(1, -1.0))  # sets the invalid flag
+            return (np.full((J.shape[1], 1), np.nan),)
+
+        monkeypatch.setattr(series, "_lstsq", flagging)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            terminate_general(3, 1, 0.3)
+
     def test_rank_deficient_point_is_rejected(self):
         """At eps = 1e100, E + rabi/2 - g^2 rounds to eps, so b_1 = c_1 = 0 exactly
         and every start "converges" with residual 0 but Jacobian rank 0."""
