@@ -4,15 +4,14 @@ Every analytic object in this package (closed forms, terminated series, RWA
 spectra) is checked against direct numerical diagonalization of the same
 Hamiltonian. This module owns that machinery: the eigensolver wrapper, eigenpair
 matching with degeneracy awareness, an O(cutoff) count of the levels below an
-energy, cutoff-convergence reporting, and the combined validator for series
-eigensolutions.
+energy, and the combined validator for series eigensolutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,12 +22,10 @@ from .states import _run_workers
 __all__ = [
     "Spectrum",
     "EigenPair",
-    "ConvergenceReport",
     "ValidationReport",
     "hermitian_eigensystem",
     "nearest_eigenpair",
     "levels_below",
-    "cutoff_convergence",
     "validate_series_solution",
 ]
 
@@ -49,26 +46,11 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
-    cutoff: int
-
-    def interior(self) -> np.ndarray:
-        """The trusted (lowest-third) eigenvalues; the rest feel the truncation."""
-        k = len(self.eigenvalues) // 3
-        return self.eigenvalues[:k]
 
 
 class EigenPair(NamedTuple):
     value: float
-    vector: Optional[np.ndarray]
     gap_to_next: float
-
-
-@dataclass
-class ConvergenceReport:
-    target_energy: float
-    estimates: list  # of (cutoff, nearest eigenvalue, gap) tuples
-    converged: bool
-    final_error: float
 
 
 @dataclass
@@ -108,7 +90,7 @@ def hermitian_eigensystem(H: OperatorMatrix, want_vectors: bool = False) -> Spec
             f"matrix is not Hermitian (defect {defect:.3e}, limit 1e-10)", defect=defect
         )
     w, v = np.linalg.eigh(M) if want_vectors else (np.linalg.eigvalsh(M), None)
-    return Spectrum(w, v, cutoff=H.basis.cutoff)
+    return Spectrum(w, v)
 
 
 def nearest_eigenpair(s: Spectrum, target: float) -> EigenPair:
@@ -123,9 +105,8 @@ def nearest_eigenpair(s: Spectrum, target: float) -> EigenPair:
     dist = np.abs(w - target)
     # stable argmin returns the first (= smaller eigenvalue, ascending order) tie
     idx = int(np.argmin(dist))
-    vector = s.eigenvectors[:, idx].copy() if s.eigenvectors is not None else None
     gap = float(np.min(np.delete(dist, idx), initial=np.inf))
-    return EigenPair(value=float(w[idx]), vector=vector, gap_to_next=gap)
+    return EigenPair(value=float(w[idx]), gap_to_next=gap)
 
 
 def nearest_level(p: ModelParams, cutoff: int, target: float) -> float:
@@ -218,32 +199,6 @@ def _block_inertia(down: list, up: list, hop: list, eps: float, sigma: float) ->
     return count
 
 
-def cutoff_convergence(
-    p: ModelParams, target: float, cutoffs: Sequence[int]
-) -> ConvergenceReport:
-    """Track the eigenvalue nearest to ``target`` across increasing cutoffs.
-
-    ``converged`` iff the last two nearest-eigenvalue estimates differ by less
-    than 1e-8; ``final_error`` is that last difference.
-    """
-    cutoffs = [int(c) for c in cutoffs]
-    if len(cutoffs) < 2:
-        raise ValueError("need at least 2 cutoffs")
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
-    estimates = []
-    for cut in cutoffs:
-        value = nearest_level(p, cut, target)
-        estimates.append((cut, value, abs(value - target)))
-    final_error = abs(estimates[-1][1] - estimates[-2][1])
-    return ConvergenceReport(
-        target_energy=float(target),
-        estimates=estimates,
-        converged=bool(final_error < 1e-8),
-        final_error=float(final_error),
-    )
-
-
 def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
     """Check a terminated series solution against direct diagonalization.
 
@@ -267,7 +222,7 @@ def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
     H = build_h_transformed(sol.params, basis)
     tasks = [lambda: series_to_fock(sol, basis), lambda: hermitian_eigensystem(H, True)]
     (state, error), (spec, eig_error) = _run_workers(
-        lambda task, _: task(), tasks, serial=9 * 16 * basis.cutoff**2 > _OVERLAP_BYTES)
+        lambda task: task(), tasks, serial=9 * 16 * basis.cutoff**2 > _OVERLAP_BYTES)
     if isinstance(error, TruncationError):
         nan = float("nan")
         return ValidationReport(residual=nan, eigen_gap=nan, overlap=0.0, passed=False,

@@ -105,8 +105,7 @@ def rwa_hamiltonian(q: RwaQuery, eta: float, basis: FockBasis) -> OperatorMatrix
         down, up = shift - level, shift + level
     # g (a^dag sigma_- + a sigma_+): sigma_- = |down><up|, sigma_+ = |up><down|
     H = _spin_blocks(down, g * a.T, g * a, up)
-    meta = {"scheme": q.scheme, "index": q.index, "eta": eta}
-    return OperatorMatrix(entries=H, basis=basis, meta=meta)
+    return OperatorMatrix(entries=H, basis=basis)
 
 
 def nearest_scheme(omega: float) -> RwaQuery:

@@ -98,14 +98,13 @@ def _branch_mark(branch: int) -> str:
 class SeriesCoefficients:
     """Series coefficients b_0..b_nmax (upper level) and c_0..c_nmax (lower level).
 
-    ``z`` is the exponential prefactor parameter, ``energy`` the trial eigenvalue
-    the coefficients were generated with. b_0 = 1 is the normalization convention.
+    ``z`` is the exponential prefactor parameter. b_0 = 1 is the normalization
+    convention.
     """
 
     b: np.ndarray
     c: np.ndarray
     z: float
-    energy: float
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
@@ -170,7 +169,7 @@ def recurrence_coefficients(
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     b, c = [1.0], [float(c0)]
     _roll_recurrence(float(E), float(z), p.rabi, d.g, d.eps, c[0], int(n_max), b, c)
-    return SeriesCoefficients(b=b, c=c, z=float(z), energy=float(E))
+    return SeriesCoefficients(b=b, c=c, z=float(z))
 
 
 def _termination_residual(b: np.ndarray, c: np.ndarray, order: int, branch: int) -> float:

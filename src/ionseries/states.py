@@ -188,32 +188,14 @@ def parity(v: StateVector) -> float:
     return float(np.dot(signs, probs))
 
 
-class _WignerWorkspace:
-    """One wigner_grid worker's buffers, allocated on the calling thread.
-
-    ``seed`` holds a chunk's seed columns D(g)|0>; ``col``, ``nxt``, ``tmp``
-    and ``u`` are one tile's recurrence buffers, ``gconj_rows`` its conj(g)
-    repeated over levels 1.., and ``w2`` and ``rows`` its row-sum terms in
-    level-major and in point-major order.
-    """
-
-    def __init__(self, cutoff: int, chunk: int, tile: int):
-        self.seed = np.empty((cutoff, chunk), dtype=complex)
-        self.col, self.nxt, self.tmp, self.u = (
-            np.empty((cutoff, tile), dtype=complex) for _ in range(4))
-        self.gconj_rows = np.empty((cutoff - 1, tile), dtype=complex)
-        self.w2 = np.empty((cutoff, tile))
-        self.rows = np.empty((tile, cutoff))
-
-
-def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
-    """Fill W[start:start + chunk] in the buffers of ``ws``, calling only numpy."""
-    cutoff, tile = ws.u.shape
-    g = gamma[start:start + ws.seed.shape[1]]
+def _wigner_chunk(W, gamma, start, chunk, tile, amps, j_max, inv_root, root_n, signs):
+    """Fill W[start:start + chunk] in buffers of its own, calling only numpy."""
+    cutoff = amps.size
+    g = gamma[start:start + chunk]
     m = g.size
     # Row n of ``seed`` holds <n|D(g)|0> for every point of the chunk, so
     # each step works on contiguous rows in place.
-    seed = ws.seed[:, :m]
+    seed = np.empty((cutoff, m), dtype=complex)
     seedf = seed.view(float)
     e0 = np.absolute(g)
     np.square(e0, out=e0)
@@ -225,13 +207,18 @@ def _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs):
     gconj_chunk = np.conjugate(g)
     neg_gconj_chunk = np.negative(gconj_chunk)
 
+    # One tile's buffers: ``col``, ``nxt``, ``tmp`` and ``u`` for the
+    # recurrence, ``gconj_rows`` its conj(g) repeated over levels 1.., and
+    # ``w2`` and ``rows`` its row-sum terms in level-major and point-major order.
+    col, nxt, tmp, u = (np.empty((cutoff, tile), dtype=complex) for _ in range(4))
+    gconj_rows = np.empty((cutoff - 1, tile), dtype=complex)
+    w2 = np.empty((cutoff, tile))
+    rows = np.empty((tile, cutoff))
     # Float views (re, im interleaved) for the sums, the differences and the
     # scalings by a real factor. numpy divides by c + 0j as (re + im*0) * (1/c),
     # so the bytes match complex arithmetic up to signed zeros, which |u|^2
     # erases. Every operand is full-shape and contiguous: a broadcast or
     # strided one costs numpy a buffered iteration on every call.
-    col, nxt, tmp, u, gconj_rows, w2, rows = (
-        ws.col, ws.nxt, ws.tmp, ws.u, ws.gconj_rows, ws.w2, ws.rows)
     colf, nxtf, tmpf, uf = (x.view(float) for x in (col, nxt, tmp, u))
     col0, nxt0, col_hi, tmp_hi = col[0], nxt[0], col[1:], tmp[1:]
     colf_lo, nxtf_hi, tmpf_hi = colf[:-1], nxtf[1:], tmpf[1:]
@@ -270,35 +257,33 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_workers(run, items, workspace=None, serial=False):
-    """``(run(item, ws), None)``, or ``(None, exception)``, for every item, in order.
+def _run_workers(run, items, serial=False):
+    """``(run(item), None)``, or ``(None, exception)``, for every item, in order.
 
     This is the library's one way to start threads. The items (a sequence) go
     to min(_cpu_count(), len(items), _MAX_WORKERS) workers, or to one when
     ``serial``; the first is the caller's own thread. Worker k runs items k,
     k + workers, ... in turn and stops at its own first failure, so its later
-    items keep ``(None, None)``; workers share no lock and no flag. ``ws`` is
-    the worker's own ``workspace()``, made on the calling thread, or None
-    without a factory. Every thread is joined before this returns, or raises
-    an exception that is not an ``Exception`` (KeyboardInterrupt, SystemExit).
+    items keep ``(None, None)``; workers share no lock and no flag. Every
+    thread is joined before this returns, or raises an exception that is not
+    an ``Exception`` (KeyboardInterrupt, SystemExit).
     """
     results = [(None, None)] * len(items)
     workers = 1 if serial else max(1, min(_cpu_count(), len(items), _MAX_WORKERS))
 
-    def work(k, ws):
+    def work(k):
         for i in range(k, len(items), workers):
             try:
-                results[i] = (run(items[i], ws), None)
+                results[i] = (run(items[i]), None)
             except BaseException as exc:  # handed to the caller
                 results[i] = (None, exc)
                 return
 
-    spaces = [workspace() if workspace else None for _ in range(workers)]
-    threads = [threading.Thread(target=work, args=(k, spaces[k])) for k in range(1, workers)]
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
     try:
         for t in threads:
             t.start()
-        work(0, spaces[0])
+        work(0)
     finally:
         for t in threads:
             if t.ident is not None:  # started
@@ -370,10 +355,10 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     signs = np.repeat(level_signs[:, None], tile, axis=1)
     W = np.empty(gamma.size)
 
-    def run_chunk(start, ws):
-        _wigner_chunk(W, gamma, start, ws, amps, j_max, inv_root, root_n, signs)
+    def run_chunk(start):
+        _wigner_chunk(W, gamma, start, chunk, tile, amps, j_max, inv_root, root_n, signs)
 
-    for _, error in _run_workers(run_chunk, starts, lambda: _WignerWorkspace(cutoff, chunk, tile)):
+    for _, error in _run_workers(run_chunk, starts):
         if error is not None:
             raise error
     W = W[:G].reshape(ps.size, cols.size)

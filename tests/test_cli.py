@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from ionseries.cli import (
     _range,
     main,
 )
+from ionseries.model import FockBasis, ModelParams, build_h_transformed
 
 
 def read(path):
@@ -250,6 +252,17 @@ class TestOracleCommand:
         assert len(doc["interior_eigenvalues"]) == 20
         assert abs(doc["nearest"]["eigenvalue"] - 1.5410537317075048) < 1e-6
         assert doc["nearest"]["gap_to_next"] > 1e-3
+
+    def test_interior_is_lowest_third(self, tmp_path):
+        """The listing is the lowest third of the 2 * cutoff levels, ascending."""
+        out = tmp_path / "o.json"
+        argv = ["oracle", "--omega", "0.7", "--eta", "0.4", "--detuning", "0.2",
+                "--cutoff", "61", "--count", "1000", "--out", str(out)]
+        assert main(argv) == 0
+        levels = np.linalg.eigvalsh(build_h_transformed(
+            ModelParams(rabi=0.7, lamb_dicke=0.4, detuning=0.2), FockBasis(61)).entries)
+        listed = json.loads(read(out))["interior_eigenvalues"]
+        assert listed == [float(f"{x:.12g}") for x in levels[:40]]
 
 
 class TestConfigAndEnvironment:

@@ -522,14 +522,13 @@ class TestColumnMajorWigner:
         # the cat evaluates only its distinct |x| columns; the coherent state
         # is not mirror-invariant and evaluates every column
         vs = [cat_state(1.7, basis), coherent_state(0.8 - 0.4j, basis)]
-        made = []
+        threads, chunk_fn = set(), states._wigner_chunk
 
-        class CountedWorkspace(states._WignerWorkspace):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
+        def counted_chunk(*args):
+            threads.add(threading.get_ident())
+            chunk_fn(*args)
 
-        monkeypatch.setattr(states, "_WignerWorkspace", CountedWorkspace)
+        monkeypatch.setattr(states, "_wigner_chunk", counted_chunk)
         # a chunk minus one point, one whole chunk, a chunk plus one point,
         # and fewer chunks than the worker cap
         shapes = [(1, chunk - 1), (1, chunk), (1, chunk + 1), (max(1, cap - 1), chunk)]
@@ -541,9 +540,9 @@ class TestColumnMajorWigner:
                 chunks = -(-n_p * columns // chunk)
                 for cpus in (1, 2, cap + 1):
                     _use_cpus(monkeypatch, cpus)
-                    made.clear()
+                    threads.clear()
                     assert wigner_grid(v, xs, ps).tobytes() == reference, (n_p, n_x, cpus)
-                    assert len(made) == min(cpus, chunks, cap)
+                    assert len(threads) == min(cpus, chunks, cap)
 
     def test_peak_memory_is_tile_bound(self, monkeypatch):
         v = cat_state(1.5, FockBasis(cutoff=150, spin_dim=1))
@@ -563,10 +562,10 @@ class TestColumnMajorWigner:
         axis = np.linspace(-4.0, 4.0, 97)
         original = states._wigner_chunk
 
-        def failing_second_chunk(W, gamma, start, ws, *args):
-            if start == ws.seed.shape[1]:
+        def failing_second_chunk(W, gamma, start, chunk, *args):
+            if start == chunk:
                 raise RuntimeError("chunk failed")
-            original(W, gamma, start, ws, *args)
+            original(W, gamma, start, chunk, *args)
 
         monkeypatch.setattr(states, "_wigner_chunk", failing_second_chunk)
         for cpus in (1, 2):
@@ -580,9 +579,9 @@ def _count_kernel_points(monkeypatch):
     evaluated = []
     original = states._wigner_chunk
 
-    def counted(W, gamma, start, ws, *args):
-        evaluated.append(gamma[start:start + ws.seed.shape[1]].copy())
-        original(W, gamma, start, ws, *args)
+    def counted(W, gamma, start, chunk, *args):
+        evaluated.append(gamma[start:start + chunk].copy())
+        original(W, gamma, start, chunk, *args)
 
     monkeypatch.setattr(states, "_wigner_chunk", counted)
     return evaluated

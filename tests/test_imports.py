@@ -9,11 +9,14 @@ the package's re-exports, and ``from __future__`` imports are directives.
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ionseries"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "ionseries"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -192,3 +195,34 @@ def test_only_the_runner_makes_threads_and_nothing_locks():
     uses = {p.name: thread_uses(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert {name: found for name, found in uses.items() if found} == {
         "states.py": [("_run_workers", "Thread")]}
+
+
+def ionseries_namespaces():
+    """``{module name: copy of its namespace}`` for every loaded ionseries module."""
+    return {key: dict(vars(m)) for key, m in list(sys.modules.items())
+            if key == "ionseries" or key.startswith("ionseries.")}
+
+
+def test_benchmark_tracer_installs_and_restores():
+    """``perfbench/spans.py``'s Tracer patches every layer it names and its
+    uninstall puts each original back: a library name the benchmark patches
+    that goes missing fails here, not only in a benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = {(module, func): getattr(importlib.import_module(module), func)
+                 for module, func, _, _ in spans.LAYERS}
+    before = ionseries_namespaces()
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (module, func), original in originals.items():
+            assert getattr(sys.modules[module], func).__wrapped__ is original, (module, func)
+    finally:
+        tracer.uninstall()
+    after = ionseries_namespaces()
+    assert after.keys() == before.keys()
+    for key, names in before.items():
+        assert after[key].keys() == names.keys(), key
+        assert all(after[key][name] is value for name, value in names.items()), key

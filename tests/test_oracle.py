@@ -1,4 +1,4 @@
-"""Diagonalization oracle: eigensystem wrapper, matching, convergence, validation."""
+"""Diagonalization oracle: eigensystem wrapper, matching, level counts, validation."""
 
 import warnings
 
@@ -13,7 +13,6 @@ from ionseries.model import FockBasis, ModelParams, OperatorMatrix, build_h_tran
 from ionseries.oracle import (
     Spectrum,
     EIGEN_GAP_TOL,
-    cutoff_convergence,
     has_level,
     hermitian_eigensystem,
     levels_below,
@@ -78,30 +77,25 @@ class TestEigensystem:
         validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
         assert len(calls) == 2
 
-    def test_interior_is_lowest_third(self):
-        spec = Spectrum(np.arange(9.0), None, cutoff=9)
-        assert np.array_equal(spec.interior(), np.array([0.0, 1.0, 2.0]))
-
 
 class TestNearestEigenpair:
     def test_picks_nearest_and_reports_gap_to_second(self):
-        spec = Spectrum(np.array([0.3, 0.99, 2.0]), None, cutoff=3)
+        spec = Spectrum(np.array([0.3, 0.99, 2.0]), None)
         pair = nearest_eigenpair(spec, 1.0)
         assert pair.value == 0.99
         assert pair.gap_to_next == pytest.approx(0.7, rel=1e-15)
-        assert pair.vector is None
 
     def test_tie_breaks_toward_smaller_eigenvalue(self):
-        spec = Spectrum(np.array([0.0, 2.0]), None, cutoff=2)
+        spec = Spectrum(np.array([0.0, 2.0]), None)
         assert nearest_eigenpair(spec, 1.0).value == 0.0
 
     def test_single_eigenvalue_has_infinite_gap(self):
-        spec = Spectrum(np.array([1.5]), None, cutoff=1)
+        spec = Spectrum(np.array([1.5]), None)
         assert nearest_eigenpair(spec, 1.0).gap_to_next == float("inf")
 
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
-            nearest_eigenpair(Spectrum(np.array([]), None, cutoff=0), 1.0)
+            nearest_eigenpair(Spectrum(np.array([]), None), 1.0)
 
 
 def dense_levels(p, cutoff):
@@ -193,31 +187,6 @@ class TestLevelsBelow:
             for sign in (-1.0, 1.0):
                 assert has_level(p, 150, level + sign * 0.5 * EIGEN_GAP_TOL)
                 assert not has_level(p, 150, level + sign * 2.0 * EIGEN_GAP_TOL)
-
-
-class TestCutoffConvergence:
-    def test_exact_solution_energy_converges(self):
-        report = cutoff_convergence(P_ANCHOR, 1.0, [60, 80, 100])
-        assert report.converged
-        assert report.final_error == 0.0
-        assert [c for c, _, _ in report.estimates] == [60, 80, 100]
-        assert all(gap < 1e-12 for _, _, gap in report.estimates)
-
-    def test_truncation_drift_is_flagged(self):
-        # a mid-spectrum eigenvalue of a strongly-coupled model still moves
-        # between cutoffs 30 and 40, so the report must not claim convergence
-        p = ModelParams(rabi=2.0, lamb_dicke=1.8, detuning=0.0)
-        ref = hermitian_eigensystem(build_h_transformed(p, FockBasis(200)))
-        target = float(ref.interior()[40])
-        report = cutoff_convergence(p, target, [30, 40])
-        assert not report.converged
-        assert report.final_error > 1e-3
-
-    def test_cutoffs_must_increase(self):
-        with pytest.raises(ValueError):
-            cutoff_convergence(P_ANCHOR, 1.0, [60, 60])
-        with pytest.raises(ValueError):
-            cutoff_convergence(P_ANCHOR, 1.0, [100])
 
 
 class TestValidateSeriesSolution:

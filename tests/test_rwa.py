@@ -108,10 +108,6 @@ class TestHamiltonian:
         assert np.max(np.abs(H - np.diag(np.diag(H)))) == 0.0
         assert sorted(set(np.round(np.diag(H), 12))) == [-0.5, 0.5]
 
-    def test_meta_records_query(self):
-        H = rwa_hamiltonian(RwaQuery("K", 2), 0.3, FockBasis(cutoff=10, spin_dim=2))
-        assert H.meta == {"scheme": "K", "index": 2, "eta": 0.3}
-
 
 def _sampled(omega, etas):
     scheme, curves = fig_curves(omega)

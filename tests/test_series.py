@@ -74,9 +74,9 @@ class TestRecurrence:
 
     def test_coefficient_container_validation(self):
         with pytest.raises(ValueError):
-            SeriesCoefficients(b=np.ones(3), c=np.ones(4), z=0.0, energy=1.0)
+            SeriesCoefficients(b=np.ones(3), c=np.ones(4), z=0.0)
         with pytest.raises(ValueError):
-            SeriesCoefficients(b=np.array([np.nan]), c=np.ones(1), z=0.0, energy=1.0)
+            SeriesCoefficients(b=np.array([np.nan]), c=np.ones(1), z=0.0)
 
     def test_rank_two_dependency_identity(self, rng):
         # at E = N + branch*eps and z = branch*g the three tail residuals obey

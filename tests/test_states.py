@@ -270,31 +270,26 @@ class TestRunWorkers:
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_thread_count_is_cpus_items_and_cap(self, monkeypatch, cpus, count):
         monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
-        made, threads = [], set()
+        threads = []
 
-        def workspace():  # one per worker
-            made.append(len(made))
-            return made[-1]
+        def run(item):
+            threads.append(threading.get_ident())
+            return item * 2
 
-        def run(item, ws):
-            threads.add(threading.get_ident())
-            return item * 2, ws
-
-        results = states._run_workers(run, range(count), workspace)
-        workers = min(cpus, count, states._MAX_WORKERS)
-        assert made == list(range(workers)) and len(threads) <= workers
-        assert [value for (value, _), _ in results] == [2 * i for i in range(count)]
-        assert {ws for (_, ws), _ in results} <= set(made)
-        assert all(exc is None for _, exc in results)
-        made.clear()
-        assert len(states._run_workers(run, range(count), workspace, serial=True)) == count
-        assert made == [0]
+        results = states._run_workers(run, range(count))
+        # every worker takes at least one item, and the calling thread is one
+        assert len(set(threads)) == min(cpus, count, states._MAX_WORKERS)
+        assert threading.get_ident() in threads
+        assert results == [(2 * i, None) for i in range(count)]
+        threads.clear()
+        assert states._run_workers(run, range(count), serial=True) == results
+        assert set(threads) == {threading.get_ident()}
 
     def test_no_thread_left_running(self, monkeypatch):
         monkeypatch.setattr(states, "_cpu_count", lambda: 2)
         before = threading.active_count()
 
-        def run(item, ws):
+        def run(item):
             if item == 3:
                 raise ValueError("item 3")
             time.sleep(0.001)
@@ -307,7 +302,7 @@ class TestRunWorkers:
         for cpus in (1, 2):
             monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
 
-            def run(item, ws):
+            def run(item):
                 if item == 1:
                     raise KeyError("item 1")
                 return item
@@ -320,7 +315,7 @@ class TestRunWorkers:
         monkeypatch.setattr(states, "_cpu_count", lambda: 2)
         before = threading.active_count()
 
-        def run(item, ws):
+        def run(item):
             if item == 1:
                 raise KeyboardInterrupt
             return item
@@ -338,7 +333,7 @@ class TestRunWorkers:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                results = states._run_workers(lambda x, ws: float(np.sqrt(x)) * 2.0, items)
+                results = states._run_workers(lambda x: float(np.sqrt(x)) * 2.0, items)
                 assert [r for r, _ in results] == (np.sqrt(items) * 2.0).tolist()
                 assert all(exc is None for _, exc in results)
         finally:
@@ -349,7 +344,7 @@ class TestRunWorkers:
         """Worker k takes items k, k + workers, ... and stops at its own failure."""
         ran = []
 
-        def run(item, ws):
+        def run(item):
             ran.append(item)
             if item == 3:
                 raise RuntimeError("item 3")
@@ -372,7 +367,7 @@ class TestRunWorkers:
         assert states._cpu_count() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
         assert states._cpu_count() == 1
-        results = states._run_workers(lambda item, ws: -item, [1, 2, 3])
+        results = states._run_workers(lambda item: -item, [1, 2, 3])
         assert results == [(-1, None), (-2, None), (-3, None)]
 
     def test_cpu_count_reads_the_affinity_set(self):
