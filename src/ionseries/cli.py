@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import IonSeriesError, NoSolutionFoundError
-from .model import FockBasis, ModelParams, build_h_transformed, derive_params
+from .model import FockBasis, ModelParams, build_h_transformed
 from .oracle import hermitian_eigensystem, nearest_eigenpair, validate_series_solution
 from .rwa import fig_curves, find_crossings
 from .series import (
@@ -288,14 +288,13 @@ def run_figure(args: argparse.Namespace) -> int:
 
 def _solution_payload(sol: SeriesSolution, cutoff: int, with_eq7: bool) -> dict:
     report = validate_series_solution(sol, FockBasis(cutoff=cutoff, spin_dim=2))
-    d_eps = derive_params(sol.params).eps
     payload = {
         "order": sol.order,
         "branch": _branch_mark(sol.branch),
         "rabi": sol.params.rabi,
         "lamb_dicke": sol.params.lamb_dicke,
         "detuning": sol.params.detuning,
-        "eps": d_eps,
+        "eps": sol.params.eps,
         "energy": sol.energy,
         "z": sol.coeffs.z,
         "c0": sol.c0,
@@ -307,7 +306,7 @@ def _solution_payload(sol: SeriesSolution, cutoff: int, with_eq7: bool) -> dict:
     }
     if with_eq7:
         payload["eq7_residual"] = eq7_residual(sol.params.rabi, sol.params.lamb_dicke,
-                                               d_eps, sol.branch)
+                                               sol.params.eps, sol.branch)
     if sol.jacobian_rank is not None:
         payload["jacobian_rank"] = int(sol.jacobian_rank)
     if sol.oracle_gap is not None:

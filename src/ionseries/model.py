@@ -36,10 +36,8 @@ from .errors import BasisMismatchError, InvalidBasisError
 
 __all__ = [
     "ModelParams",
-    "DerivedParams",
     "FockBasis",
     "OperatorMatrix",
-    "derive_params",
     "displacement_matrix",
     "build_h_lab",
     "build_h_transformed",
@@ -75,18 +73,15 @@ class ModelParams:
         if self.lamb_dicke < 0:
             raise ValueError(f"lamb_dicke must be >= 0, got {self.lamb_dicke}")
 
+    @property
+    def g(self) -> float:
+        """The coupling g = lamb_dicke/2."""
+        return self.lamb_dicke / 2.0
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Coupling g = lamb_dicke/2 and flipped half-detuning eps = -detuning/2."""
-
-    g: float
-    eps: float
-
-
-def derive_params(p: ModelParams) -> DerivedParams:
-    """Map (rabi, lamb_dicke, detuning) to the derived pair (g, eps) exactly."""
-    return DerivedParams(g=p.lamb_dicke / 2.0, eps=-p.detuning / 2.0)
+    @property
+    def eps(self) -> float:
+        """The flipped half-detuning eps = -detuning/2."""
+        return -self.detuning / 2.0
 
 
 @dataclass(frozen=True)
@@ -247,11 +242,10 @@ def _h_transformed_band(p: ModelParams, cutoff: int):
     dense matrices. A stored -0.0 would change LAPACK's rounding, so ``0.0 +``
     turns eps = -0.0 (detuning 0) into the +0.0 that sum has.
     """
-    d = derive_params(p)
-    r = p.rabi / 2.0
+    g, r = p.g, p.rabi / 2.0
     n = np.arange(float(cutoff))
-    hop = 0.0 + d.g * np.sqrt(n)  # g <n-1|x|n> = g sqrt(n), spin flipped
-    return (-r + n) + d.g**2, (r + n) + d.g**2, 0.0 + d.eps, hop
+    hop = 0.0 + g * np.sqrt(n)  # g <n-1|x|n> = g sqrt(n), spin flipped
+    return (-r + n) + g**2, (r + n) + g**2, 0.0 + p.eps, hop
 
 
 def build_h_transformed(p: ModelParams, basis: FockBasis) -> OperatorMatrix:

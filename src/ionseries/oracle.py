@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonHermitianError, TruncationError
 from .model import FockBasis, ModelParams, OperatorMatrix, _h_transformed_band, build_h_transformed
-from .states import _run_workers
+from .states import _run_pair
 
 __all__ = [
     "Spectrum",
@@ -136,10 +136,12 @@ def levels_below(p: ModelParams, cutoff: int, sigma: float) -> int:
     the trace negative. The loop runs on Python floats and builds no matrix:
     O(cutoff).
 
-    The count is exact unless sigma lies within rounding of a level of H_I or
-    of one of its leading blocks. Zero pivot: when a block is exactly
-    singular (at eps = 0 and sigma = g^2 - rabi/2, S_0 is), the count starts
-    again at sigma - 2^-50 max(1, |sigma|). So a level at sigma itself is not
+    The count is exact unless sigma lies within rounding of a level of H_I.
+    Near-zero pivot: a block whose |det S_n| is at most 1e-12 (|ad| + b^2) is
+    singular to rounding, as S_n is when sigma is a level of a leading block
+    of H_I (at eps = 0 and sigma = g^2 - rabi/2, S_0 is exactly). Dividing by
+    its determinant would spoil every later block, so the count starts again
+    at sigma - 1e-12 max(1, |sigma|). So a level at sigma itself is not
     counted, and neither is one less than that step below it. Raises
     OverflowError when the factorization overflows, which takes entries
     near 1e154, and ValueError for a sigma that is not finite.
@@ -171,14 +173,14 @@ def _count_below(band: tuple, sigma: float) -> int:
         count = _block_inertia(*band, sigma)
         if count is not None:
             return count
-        sigma -= 2.0**-50 * max(1.0, abs(sigma))
+        sigma -= 1e-12 * max(1.0, abs(sigma))
 
 
 def _block_inertia(down: list, up: list, hop: list, eps: float, sigma: float) -> Optional[int]:
     """The negative eigenvalues of the pivot blocks of H_I - sigma (see ``levels_below``).
 
     ``down`` and ``up`` are the diagonals of H_I at each level, ``hop`` the
-    h_n. None when a block is exactly singular.
+    h_n. None when a block is singular to rounding.
     """
     count = 0
     a = b = d = 0.0
@@ -187,12 +189,13 @@ def _block_inertia(down: list, up: list, hop: list, eps: float, sigma: float) ->
         k = h * h / det
         a, b, d = (x - sigma) - k * a, eps + k * b, (y - sigma) - k * d
         det = a * d - b * b
-        if det < 0.0:
+        tiny = 1e-12 * (abs(a * d) + b * b)
+        if det < -tiny:
             count += 1
-        elif det > 0.0:
+        elif det > tiny:
             if a + d < 0.0:
                 count += 2
-        elif det == 0.0:
+        elif tiny < math.inf:  # |det| <= tiny; a NaN det comes with a NaN or inf tiny
             return None
         else:
             raise OverflowError(f"the level count overflowed at cutoff {len(down)}")
@@ -210,25 +213,24 @@ def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
     one) with norm > 0.999. A basis too small to represent the vector yields an
     inconclusive report instead of a failure.
 
-    The reconstruction (its ``expm``) and the ``eigh`` are submitted to
-    ``states._run_workers``, so they overlap when two CPUs are allowed, unless
-    the ``expm`` scratch exceeds ``_OVERLAP_BYTES`` (cutoff 150 fits, 400 does
-    not): then they run in turn, the reconstruction first. The report is
-    byte-identical either way. The budget bounds memory: overlapping at cutoff
-    400 too raised the validation benchmark's peak RSS from 94 to 114 MB.
+    The reconstruction (its ``expm``) and the ``eigh`` are ``states._run_pair``'s
+    two jobs, so they overlap when two CPUs are allowed, unless the ``expm``
+    scratch exceeds ``_OVERLAP_BYTES`` (cutoff 150 fits, 400 does not): then
+    they run in turn, the reconstruction first. The report is byte-identical
+    either way. The budget bounds memory: overlapping at cutoff 400 too raised
+    the validation benchmark's peak RSS from 94 to 114 MB.
     """
     from .series import series_to_fock  # deferred to avoid an import cycle
 
     H = build_h_transformed(sol.params, basis)
-    tasks = [lambda: series_to_fock(sol, basis), lambda: hermitian_eigensystem(H, True)]
-    (state, error), (spec, eig_error) = _run_workers(
-        lambda task: task(), tasks, serial=9 * 16 * basis.cutoff**2 > _OVERLAP_BYTES)
-    if isinstance(error, TruncationError):
+    try:
+        state, spec = _run_pair(lambda: series_to_fock(sol, basis),
+                                lambda: hermitian_eigensystem(H, True),
+                                serial=9 * 16 * basis.cutoff**2 > _OVERLAP_BYTES)
+    except TruncationError:
         nan = float("nan")
         return ValidationReport(residual=nan, eigen_gap=nan, overlap=0.0, passed=False,
                                 inconclusive=True, recommended_cutoff=2 * basis.cutoff)
-    if error or eig_error:
-        raise error or eig_error
     v = state.amplitudes
     E = float(sol.energy)
     residual = float(np.linalg.norm(H.entries @ v - E * v))

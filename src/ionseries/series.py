@@ -43,7 +43,7 @@ from .errors import (
     SingularRecurrenceError,
     TruncationError,
 )
-from .model import FockBasis, ModelParams, _displacement_entries, _require_spin, derive_params
+from .model import FockBasis, ModelParams, _displacement_entries, _require_spin
 from .oracle import has_level, nearest_level
 from .states import StateVector, _within_tail_budget
 
@@ -55,7 +55,6 @@ __all__ = [
     "recurrence_coefficients",
     "case1_closed_form",
     "energy_identity_case1",
-    "implied_detuning_case1",
     "appendix_quadratic",
     "case2_closed_form",
     "case2_energies",
@@ -159,8 +158,7 @@ def recurrence_coefficients(
 
     Requires g = lamb_dicke/2 > 0 (the update divides by g) and n_max >= 2.
     """
-    d = derive_params(p)
-    if d.g == 0:
+    if p.g == 0:
         raise SingularRecurrenceError(
             "lamb_dicke = 0 makes the recurrence singular; "
             "use special_case_small_eta for the zero-coupling regime"
@@ -168,7 +166,7 @@ def recurrence_coefficients(
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     b, c = [1.0], [float(c0)]
-    _roll_recurrence(float(E), float(z), p.rabi, d.g, d.eps, c[0], int(n_max), b, c)
+    _roll_recurrence(float(E), float(z), p.rabi, p.g, p.eps, c[0], int(n_max), b, c)
     return SeriesCoefficients(b=b, c=c, z=float(z))
 
 
@@ -204,8 +202,7 @@ class SeriesSolution:
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         self.branch = _norm_branch(self.branch)
-        d = derive_params(self.params)
-        expected = self.order + self.branch * d.eps
+        expected = self.order + self.branch * self.params.eps
         if abs(self.energy - expected) > 1e-12 * max(1.0, abs(expected)):
             raise ValueError(
                 f"energy {self.energy} != order + branch*eps = {expected}"
@@ -293,16 +290,9 @@ def case1_closed_form(eta: float, eps: float, branch) -> SeriesSolution:
 def energy_identity_case1(rabi: float, eta: float) -> float:
     """The single energy expression shared by both order-1 branches.
 
-    E = 1/2 + eta^2/2 + rabi^2/8. Together with E = 1 + branch*eps this inverts
-    to the implied detuning exposed by :func:`implied_detuning_case1`.
+    E = 1/2 + eta^2/2 + rabi^2/8; with E = 1 + branch*eps it fixes eps.
     """
     return 0.5 + 0.5 * eta * eta + rabi * rabi / 8.0
-
-
-def implied_detuning_case1(rabi: float, eta: float, branch) -> float:
-    """The eps value at which the order-1 constraint holds for given (rabi, eta)."""
-    branch = _norm_branch(branch)
-    return branch * (rabi * rabi / 8.0 - 0.5 + 0.5 * eta * eta)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +517,7 @@ def _lstsq_step(J: np.ndarray, rhs: np.ndarray) -> list:
     return _lstsq(J, rhs, _LSTSQ_RCOND, signature="ddd->ddid")[0].ravel().tolist()
 
 
-def _norm(values, buf: Optional[np.ndarray] = None) -> float:
+def _norm(values, buf: np.ndarray) -> float:
     """``np.linalg.norm`` of a float vector: the square root of ``ndarray.dot``.
 
     OpenBLAS's dot may fuse multiply-adds, so a Python sum of squares can round
@@ -535,10 +525,7 @@ def _norm(values, buf: Optional[np.ndarray] = None) -> float:
     float array of the vector's length, takes the values in place of a new
     array.
     """
-    if buf is None:
-        buf = np.asarray(values, dtype=float)
-    else:
-        buf[:] = values
+    buf[:] = values
     return math.sqrt(buf.dot(buf))
 
 
@@ -777,7 +764,7 @@ def special_case_small_eta(rabi: float, eps: float) -> Tuple[SpecialCaseSolution
         amps[3] = -1j * (b1 + c1) / math.sqrt(2.0)  # upper level, Fock 1
         amps[2] = -1j * (b1 + c1) / math.sqrt(2.0)  # lower level, Fock 1
         amps = amps / np.linalg.norm(amps)
-        psi_os = StateVector(amplitudes=amps, basis=basis, normalized=True)
+        psi_os = StateVector(amplitudes=amps, basis=basis)
         out.append(
             SpecialCaseSolution(energy=energy, b0=b0, b1=b1, c0=c0, c1=c1, psi_os=psi_os)
         )

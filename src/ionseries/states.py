@@ -33,22 +33,17 @@ TAIL_MASS_TOL = 1e-8
 
 #: Bytes of each of wigner_grid's (cutoff, tile) recurrence buffers: 256 KiB
 #: makes 109-point tiles at cutoff 150, and the six that one recurrence step
-#: touches fit a 2 MiB L2.
+#: touches fit a 2 MiB L2. A wigner_grid thread holds at most ten (2.5 MiB).
 _TILE_BYTES = 256 * 1024
 
-#: Tiles per chunk, the unit of work a wigner_grid worker takes: the coherent
+#: Tiles per chunk, the unit of work a wigner_grid thread takes: the coherent
 #: seed column costs ``cutoff`` Python-level steps, paid once per chunk.
 _CHUNK_TILES = 4
-
-#: Most threads one _run_workers call runs on, the library-wide cap. A
-#: wigner_grid worker holds at most 10 * _TILE_BYTES of buffers (2.5 MiB)
-#: whatever the cutoff, so two keep a call's traced peak near 6 MB.
-_MAX_WORKERS = 2
 
 
 @dataclass
 class StateVector:
-    """A vector over a FockBasis, optionally tagged as normalized.
+    """A vector over a FockBasis.
 
     ``amplitudes[2n+s]`` is the amplitude on motional level n and internal
     level s (s = 0 lower, s = 1 upper) when spin_dim = 2; for spin_dim = 1 the
@@ -57,7 +52,6 @@ class StateVector:
 
     amplitudes: np.ndarray
     basis: FockBasis
-    normalized: bool = False
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,10 +63,6 @@ class StateVector:
             )
         if not np.all(np.isfinite(self.amplitudes)):
             raise ValueError("amplitudes must be finite")
-        if self.normalized and abs(self.norm - 1.0) > 1e-12:
-            raise ValueError(
-                f"state tagged normalized but has norm {self.norm!r}"
-            )
 
     @property
     def norm(self) -> float:
@@ -82,7 +72,6 @@ class StateVector:
         return StateVector(
             amplitudes=_normalized(self.amplitudes),
             basis=self.basis,
-            normalized=True,
             meta=dict(self.meta),
         )
 
@@ -257,41 +246,36 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_workers(run, items, serial=False):
-    """``(run(item), None)``, or ``(None, exception)``, for every item, in order.
+def _run_pair(first, second, serial=False):
+    """``[first(), second()]``, with ``second`` on one more thread when it may.
 
-    This is the library's one way to start threads. The items (a sequence) go
-    to min(_cpu_count(), len(items), _MAX_WORKERS) workers, or to one when
-    ``serial``; the first is the caller's own thread. Worker k runs items k,
-    k + workers, ... in turn and stops at its own first failure, so its later
-    items keep ``(None, None)``; workers share no lock and no flag. Every
-    thread is joined before this returns, or raises an exception that is not
-    an ``Exception`` (KeyboardInterrupt, SystemExit).
+    This is the library's one way to start a thread. ``second`` runs on a
+    thread of its own when _cpu_count() >= 2 and not ``serial``; otherwise it
+    runs after ``first`` on the caller's thread, and a failed ``first`` skips
+    it. The thread is joined before this returns or raises. Of the two jobs'
+    failures, an interrupt or exit (an exception that is not an
+    ``Exception``) is raised first, then ``first``'s, then ``second``'s.
     """
-    results = [(None, None)] * len(items)
-    workers = 1 if serial else max(1, min(_cpu_count(), len(items), _MAX_WORKERS))
+    if serial or _cpu_count() < 2:
+        return [first(), second()]
+    outcomes = [None, None]  # (result, exception) of first and of second
 
-    def work(k):
-        for i in range(k, len(items), workers):
-            try:
-                results[i] = (run(items[i]), None)
-            except BaseException as exc:  # handed to the caller
-                results[i] = (None, exc)
-                return
+    def run(k, job):
+        try:
+            outcomes[k] = (job(), None)
+        except BaseException as exc:  # handed to the caller
+            outcomes[k] = (None, exc)
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    thread = threading.Thread(target=run, args=(1, second))
+    thread.start()
     try:
-        for t in threads:
-            t.start()
-        work(0)
+        run(0, first)
     finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    for _, exc in results:
-        if exc is not None and not isinstance(exc, Exception):
-            raise exc  # an interrupt or exit is not the caller's to weigh or drop
-    return results
+        thread.join()
+    errors = [exc for _, exc in outcomes if exc is not None]
+    if errors:  # sorted is stable: first's failure stays ahead of second's
+        raise sorted(errors, key=lambda exc: isinstance(exc, Exception))[0]
+    return [result for result, _ in outcomes]
 
 
 def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -311,9 +295,9 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     at most max(1, _TILE_BYTES // (16 * cutoff)) points: the whole recurrence
     and the parity sum run on one tile before the next, so the recurrence
     buffers stay in cache and memory does not grow with the grid. Chunks of
-    _CHUNK_TILES tiles share one seed computation and are spread over
-    _run_workers' threads; numpy releases the interpreter lock inside each
-    ufunc, so the threads overlap. Each grid point gets the same arithmetic
+    _CHUNK_TILES tiles share one seed computation; the even-numbered chunks
+    and the odd-numbered ones are ``_run_pair``'s two jobs, and numpy releases
+    the interpreter lock inside each ufunc, so the two threads overlap. Each grid point gets the same arithmetic
     whatever the tile, chunk or thread, so W does not depend on any of them.
 
     When the normalized amplitudes satisfy conj(v_n) = (-1)^n v_n exactly, as
@@ -355,12 +339,12 @@ def wigner_grid(v: StateVector, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     signs = np.repeat(level_signs[:, None], tile, axis=1)
     W = np.empty(gamma.size)
 
-    def run_chunk(start):
-        _wigner_chunk(W, gamma, start, chunk, tile, amps, j_max, inv_root, root_n, signs)
+    def run_share(share):
+        for start in share:
+            _wigner_chunk(W, gamma, start, chunk, tile, amps, j_max, inv_root, root_n, signs)
 
-    for _, error in _run_workers(run_chunk, starts):
-        if error is not None:
-            raise error
+    _run_pair(lambda: run_share(starts[0::2]), lambda: run_share(starts[1::2]),
+              serial=len(starts) < 2)
     W = W[:G].reshape(ps.size, cols.size)
     if back is not None:
         W = W[:, back]

@@ -1,6 +1,19 @@
 """Shared fixtures and the acceptance-criteria terminal summary."""
 
-import numpy as np
+import os
+import sys
+
+# One BLAS thread, as the benchmark runs, unless the environment sets another
+# count. On a 2-vCPU VM the suite ran in 37 s so, against 53 s with OpenBLAS's
+# default of one thread per CPU contending with the library's own threads.
+# BLAS reads these once, when numpy loads, so a numpy loaded earlier would
+# silently keep its own thread count.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin BLAS threads")
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402  (after the pin)
 import pytest
 
 import ionseries as ions

@@ -25,7 +25,7 @@ from scipy.linalg import expm
 
 from ionseries import model, oracle, series, states
 from ionseries.errors import IonSeriesError, NoSolutionFoundError, TruncationError
-from ionseries.model import FockBasis, ModelParams, build_h_lab, build_h_transformed, derive_params
+from ionseries.model import FockBasis, ModelParams, build_h_lab, build_h_transformed
 from ionseries.rwa import RwaQuery, rwa_hamiltonian
 from ionseries.oracle import EIGEN_GAP_TOL, nearest_level
 from ionseries.series import (
@@ -50,7 +50,7 @@ SIGMA_MINUS = SIGMA_PLUS.T.copy()  # |down><up|
 
 def kron_h_transformed(p, basis):
     """H_I as the sum of its four Kronecker terms."""
-    d = derive_params(p)
+    g, eps = p.lamb_dicke / 2.0, -p.detuning / 2.0
     cutoff = basis.cutoff
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
     x = a + a.T
@@ -59,8 +59,8 @@ def kron_h_transformed(p, basis):
     return (
         np.kron(eye_m, (p.rabi / 2.0) * SIGMA_Z)
         + np.kron(number, np.eye(2))
-        + np.kron(d.g * x + d.eps * eye_m, SIGMA_X)
-        + d.g**2 * np.eye(basis.dim)
+        + np.kron(g * x + eps * eye_m, SIGMA_X)
+        + g**2 * np.eye(basis.dim)
     )
 
 
@@ -432,13 +432,13 @@ class TestFloatGaussNewton:
             assert series._max_abs(v).hex() == expected.hex(), v
 
     def test_norm_rounds_as_numpy(self):
-        """With and without the caller's buffer, which terminate_general passes."""
+        """Through the caller's buffer, from a list or a tuple, as terminate_general calls it."""
         rng = np.random.default_rng(3)
         for size in (2, 3):
             buf = np.empty(size)
             for v in rng.standard_normal((3000, size)) * 10.0 ** rng.integers(-8, 8, (3000, 1)):
                 expected = float(np.linalg.norm(v)).hex()
-                assert series._norm(v.tolist()).hex() == expected
+                assert series._norm(v.tolist(), buf).hex() == expected
                 assert series._norm(tuple(v.tolist()), buf).hex() == expected
 
 
@@ -518,7 +518,6 @@ class TestColumnMajorWigner:
     def test_chunks_match_row_major_bytes(self, cutoff, monkeypatch):
         basis = FockBasis(cutoff=cutoff, spin_dim=1)
         chunk = states._CHUNK_TILES * max(1, states._TILE_BYTES // (16 * cutoff))
-        cap = states._MAX_WORKERS
         # the cat evaluates only its distinct |x| columns; the coherent state
         # is not mirror-invariant and evaluates every column
         vs = [cat_state(1.7, basis), coherent_state(0.8 - 0.4j, basis)]
@@ -528,26 +527,36 @@ class TestColumnMajorWigner:
             threads.add(threading.get_ident())
             chunk_fn(*args)
 
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
         monkeypatch.setattr(states, "_wigner_chunk", counted_chunk)
+        monkeypatch.setattr(threading, "Thread", CountedThread)
         # a chunk minus one point, one whole chunk, a chunk plus one point,
-        # and fewer chunks than the worker cap
-        shapes = [(1, chunk - 1), (1, chunk), (1, chunk + 1), (max(1, cap - 1), chunk)]
+        # and three chunks, which the two threads share unequally
+        shapes = [(1, chunk - 1), (1, chunk), (1, chunk + 1), (3, chunk)]
         for v, mirrored in zip(vs, (True, False)):
             for n_p, n_x in shapes:
                 xs, ps = np.linspace(-3.0, 3.0, n_x), np.linspace(-2.0, 2.5, n_p)
                 reference = row_major_wigner(v, xs, ps).tobytes()
                 columns = np.unique(np.abs(xs)).size if mirrored else n_x
                 chunks = -(-n_p * columns // chunk)
-                for cpus in (1, 2, cap + 1):
+                for cpus in (1, 2):
                     _use_cpus(monkeypatch, cpus)
                     threads.clear()
+                    started.clear()
                     assert wigner_grid(v, xs, ps).tobytes() == reference, (n_p, n_x, cpus)
-                    assert len(threads) == min(cpus, chunks, cap)
+                    assert len(threads) == min(cpus, chunks)
+                    assert len(started) == min(cpus, chunks) - 1  # none for one chunk
 
     def test_peak_memory_is_tile_bound(self, monkeypatch):
         v = cat_state(1.5, FockBasis(cutoff=150, spin_dim=1))
         axis = np.linspace(-5.0, 5.0, 101)
-        for cpus in (1, states._MAX_WORKERS + 1):
+        for cpus in (1, 2):
             _use_cpus(monkeypatch, cpus)
             tracemalloc.start()
             try:

@@ -149,7 +149,7 @@ def test_thread_guard_flags_imports_and_cpu_reads():
 
 
 def test_only_states_starts_threads():
-    """states._run_workers is the one thread runner and states._cpu_count the one
+    """states._run_pair is the one thread runner and states._cpu_count the one
     reader of the CPU allowance."""
     sites = {p.name: thread_sites(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert [name for name, lines in sorted(sites.items()) if lines] == ["states.py"]
@@ -190,11 +190,11 @@ def test_thread_use_guard_flags_threads_and_primitives():
 
 
 def test_only_the_runner_makes_threads_and_nothing_locks():
-    """Only states._run_workers constructs a Thread, and its workers share no
+    """Only states._run_pair constructs a Thread, and its jobs share no
     lock, event, condition or semaphore, so no module creates one."""
     uses = {p.name: thread_uses(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert {name: found for name, found in uses.items() if found} == {
-        "states.py": [("_run_workers", "Thread")]}
+        "states.py": [("_run_pair", "Thread")]}
 
 
 def ionseries_namespaces():

@@ -17,7 +17,6 @@ from ionseries.model import (
     _hermiticity_defect,
     build_h_lab,
     build_h_transformed,
-    derive_params,
     displacement_matrix,
     transform_uv,
 )
@@ -27,9 +26,9 @@ from ionseries.states import _coherent_amplitudes
 
 class TestParams:
     def test_derived_pair_is_half_eta_and_flipped_half_detuning(self):
-        d = derive_params(ModelParams(rabi=0.7, lamb_dicke=0.4, detuning=0.3))
-        assert d.g == 0.2
-        assert d.eps == -0.15
+        p = ModelParams(rabi=0.7, lamb_dicke=0.4, detuning=0.3)
+        assert p.g == 0.2
+        assert p.eps == -0.15
 
     def test_negative_rabi_rejected(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,6 @@ from ionseries.series import (
     case2_energies,
     energy_identity_case1,
     eq7_residual,
-    implied_detuning_case1,
     recurrence_coefficients,
     series_to_fock,
     special_case_small_eta,
@@ -143,13 +142,13 @@ class TestCase1:
             case1_closed_form(0.0, 0.1, 1)
 
     def test_energy_identity_and_implied_detuning_roundtrip(self):
-        sol = case1_closed_form(0.3, 0.1, 1)
-        assert energy_identity_case1(sol.params.rabi, 0.3) == pytest.approx(
-            sol.energy, abs=1e-13
-        )
-        assert implied_detuning_case1(sol.params.rabi, 0.3, 1) == pytest.approx(
-            0.1, abs=1e-13
-        )
+        """E = 1 + branch*eps turns the identity's energy back into the eps solved at."""
+        for branch in (1, -1):
+            sol = case1_closed_form(0.3, 0.1, branch)
+            energy = energy_identity_case1(sol.params.rabi, 0.3)
+            assert energy == pytest.approx(sol.energy, abs=1e-13)
+            assert branch * (energy - 1.0) == pytest.approx(sol.params.eps, abs=1e-13)
+            assert sol.params.eps == pytest.approx(0.1, abs=1e-15)
 
     def test_small_coupling_asymptotics(self):
         # at eps = 0 the exact formulas give c0 -> g^4 and b1 -> +g as eta -> 0

@@ -30,10 +30,6 @@ class TestStateVector:
         with pytest.raises(BasisMismatchError):
             StateVector(np.ones(5), FockBasis(cutoff=3, spin_dim=1))
 
-    def test_normalized_tag_is_checked(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([2.0, 0.0]), FockBasis(cutoff=2, spin_dim=1), normalized=True)
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             StateVector(np.array([np.inf, 0.0]), FockBasis(cutoff=2, spin_dim=1))
@@ -41,7 +37,7 @@ class TestStateVector:
     def test_normalize(self):
         v = StateVector(np.array([3.0, 4.0]), FockBasis(cutoff=2, spin_dim=1))
         n = v.normalize()
-        assert n.normalized
+        assert n.norm == pytest.approx(1.0, rel=1e-15)
         assert n.amplitudes[0] == pytest.approx(0.6, rel=1e-15)
         with pytest.raises(ValueError):
             StateVector(np.zeros(2), FockBasis(cutoff=2, spin_dim=1)).normalize()
@@ -264,101 +260,131 @@ class TestWigner:
 
 
 class TestRunWorkers:
-    """states._run_workers, the library's one way to start threads."""
+    """states._run_pair, the library's one way to start a thread: its two jobs
+    run on the caller's thread and on at most one more."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_thread_count_is_cpus_items_and_cap(self, monkeypatch, cpus, count):
+        """``count`` items in two shares, as wigner_grid shares its chunks (serial
+        for one), run on min(cpus, count, 2) threads, the caller's among them."""
         monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
         threads = []
 
-        def run(item):
-            threads.append(threading.get_ident())
-            return item * 2
+        def job(share):
+            def run():
+                threads.append(threading.get_ident())
+                return [2 * i for i in share]
+            return run
 
-        results = states._run_workers(run, range(count))
-        # every worker takes at least one item, and the calling thread is one
-        assert len(set(threads)) == min(cpus, count, states._MAX_WORKERS)
+        items = range(count)
+        results = states._run_pair(job(items[0::2]), job(items[1::2]), serial=count < 2)
+        assert len(set(threads)) == min(cpus, count, 2)
         assert threading.get_ident() in threads
-        assert results == [(2 * i, None) for i in range(count)]
+        assert results == [[2 * i for i in items[0::2]], [2 * i for i in items[1::2]]]
         threads.clear()
-        assert states._run_workers(run, range(count), serial=True) == results
-        assert set(threads) == {threading.get_ident()}
+        assert states._run_pair(job(items[0::2]), job(items[1::2]), serial=True) == results
+        assert threads == [threading.get_ident()] * 2
 
     def test_no_thread_left_running(self, monkeypatch):
         monkeypatch.setattr(states, "_cpu_count", lambda: 2)
         before = threading.active_count()
 
-        def run(item):
-            if item == 3:
-                raise ValueError("item 3")
-            time.sleep(0.001)
+        def slow():
+            time.sleep(0.01)
+            return 1
 
-        for items in (range(8), range(2), range(0)):
-            states._run_workers(run, items)
+        def failing():
+            raise ValueError("failed")
+
+        for first, second in [(slow, slow), (failing, slow), (slow, failing), (failing, failing)]:
+            try:
+                states._run_pair(first, second)
+            except ValueError:
+                pass
             assert threading.active_count() == before
 
     def test_failure_reaches_caller(self, monkeypatch):
+        """``first``'s exception is raised ahead of ``second``'s, on one CPU or two."""
+        def fail(exc):
+            def run():
+                raise exc
+            return run
+
         for cpus in (1, 2):
             monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
-
-            def run(item):
-                if item == 1:
-                    raise KeyError("item 1")
-                return item
-
-            results = states._run_workers(run, [0, 1])
-            assert results[0] == (0, None)
-            assert results[1][0] is None and isinstance(results[1][1], KeyError)
+            with pytest.raises(KeyError, match="second"):
+                states._run_pair(lambda: 0, fail(KeyError("second")))
+            with pytest.raises(KeyError, match="first"):
+                states._run_pair(fail(KeyError("first")), lambda: 0)
+            with pytest.raises(KeyError, match="first"):
+                states._run_pair(fail(KeyError("first")), fail(ValueError("second")))
 
     def test_interrupt_is_raised_after_the_join(self, monkeypatch):
+        """An interrupt or exit from either job comes before any ``Exception``, and
+        ``first``'s before ``second``'s; the thread has ended by then."""
         monkeypatch.setattr(states, "_cpu_count", lambda: 2)
         before = threading.active_count()
 
-        def run(item):
-            if item == 1:
-                raise KeyboardInterrupt
-            return item
+        def fail(exc):
+            def run():
+                raise exc
+            return run
 
-        with pytest.raises(KeyboardInterrupt):
-            states._run_workers(run, [0, 1, 2])
-        assert threading.active_count() == before
+        cases = [((ValueError(), KeyboardInterrupt()), KeyboardInterrupt),
+                 ((KeyboardInterrupt(), ValueError()), KeyboardInterrupt),
+                 ((SystemExit(), KeyboardInterrupt()), SystemExit),
+                 ((lambda: 0, KeyboardInterrupt()), KeyboardInterrupt)]
+        for jobs, expected in cases:
+            first, second = (job if callable(job) else fail(job) for job in jobs)
+            with pytest.raises(expected):
+                states._run_pair(first, second)
+            assert threading.active_count() == before
 
     def test_no_item_lost_under_fast_thread_switching(self, monkeypatch):
-        monkeypatch.setattr(states, "_MAX_WORKERS", 4)  # beyond the cap, so threads outnumber cores
-        monkeypatch.setattr(states, "_cpu_count", lambda: 4)
+        """Pairs nested in pairs run four jobs on four threads, more than there
+        are cores, and every result arrives in its place."""
+        monkeypatch.setattr(states, "_cpu_count", lambda: 2)
         before = threading.active_count()
         items = np.arange(400.0)
+        quarters = [items[k::4] for k in range(4)]
+
+        def job(share):
+            return lambda: [float(np.sqrt(x)) * 2.0 for x in share]
+
+        def pair(a, b):
+            return lambda: states._run_pair(job(a), job(b))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                results = states._run_workers(lambda x: float(np.sqrt(x)) * 2.0, items)
-                assert [r for r, _ in results] == (np.sqrt(items) * 2.0).tolist()
-                assert all(exc is None for _, exc in results)
+                results = states._run_pair(pair(*quarters[:2]), pair(*quarters[2:]))
+                assert results == [[(np.sqrt(q) * 2.0).tolist() for q in quarters[:2]],
+                                   [(np.sqrt(q) * 2.0).tolist() for q in quarters[2:]]]
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
 
     def test_run_stops_after_a_failure(self, monkeypatch):
-        """Worker k takes items k, k + workers, ... and stops at its own failure."""
+        """Run in turn (one CPU, or ``serial``), a failed ``first`` skips ``second``;
+        beside it on a thread, ``second`` has run by the time the failure is raised."""
         ran = []
 
-        def run(item):
-            ran.append(item)
-            if item == 3:
-                raise RuntimeError("item 3")
-            return item
+        def first():
+            ran.append("first")
+            raise RuntimeError("first")
 
-        for cpus in (1, 2):
+        def second():
+            ran.append("second")
+
+        for cpus, serial, expected in [(1, False, ["first"]), (2, True, ["first"]),
+                                       (2, False, ["first", "second"])]:
             monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
             ran.clear()
-            results = states._run_workers(run, range(10))
-            assert isinstance(results[3][1], RuntimeError)
-            taken = [i for i in range(10) if i < 3 or (i - 3) % cpus]  # item 3's worker stops
-            assert sorted(ran) == sorted(taken + [3])
-            assert [value for value, _ in results] == [i if i in taken else None for i in range(10)]
-            assert all(exc is None for i, (_, exc) in enumerate(results) if i != 3)
+            with pytest.raises(RuntimeError, match="first"):
+                states._run_pair(first, second, serial=serial)
+            assert sorted(ran) == expected
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         """Where os.sched_getaffinity is missing (macOS, Windows), os.cpu_count() counts."""
@@ -367,8 +393,7 @@ class TestRunWorkers:
         assert states._cpu_count() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
         assert states._cpu_count() == 1
-        results = states._run_workers(lambda item: -item, [1, 2, 3])
-        assert results == [(-1, None), (-2, None), (-3, None)]
+        assert states._run_pair(lambda: -1, lambda: -2) == [-1, -2]
 
     def test_cpu_count_reads_the_affinity_set(self):
         if not hasattr(os, "sched_getaffinity"):
