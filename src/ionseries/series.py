@@ -60,6 +60,7 @@ __all__ = [
     "case2_energies",
     "eq7_residual",
     "terminate_general",
+    "state_residual",
     "special_case_small_eta",
     "series_to_fock",
     "bargmann_to_fock",
@@ -176,16 +177,92 @@ def _termination_residual(b: np.ndarray, c: np.ndarray, order: int, branch: int)
     )
 
 
+def _shifted_norm2(p: list, q: list, z: float) -> float:
+    """``||P(a^dagger)|-z>||^2 + ||Q(a^dagger)|-z>||^2`` = sum_m m! (s_m^2 + t_m^2),
+    with s_m and t_m the coefficients of P and Q in powers of (alpha + z).
+
+    The shift is repeated synthetic division by (alpha + z), in place on the
+    equal-length lists ``p`` and ``q`` (lowest degree first);
+    (a^dagger + z)^m |-z> is D(-z) sqrt(m!) |m>, so the shifted powers are
+    orthogonal.
+    """
+    r = -z
+    deg = len(p) - 1
+    for k in range(deg):
+        for j in range(deg - 1, k - 1, -1):
+            p[j] += r * p[j + 1]
+            q[j] += r * q[j + 1]
+    total, fact = 0.0, 1.0
+    for m in range(deg + 1):
+        if m:
+            fact *= m
+        total += fact * (p[m] * p[m] + q[m] * q[m])
+    return total
+
+
+def _state_residual(
+    level: float, branch: int, g: float, z: float, rabi: float, eps: float, c0: float
+) -> float:
+    """``||(H_I - E) psi|| / ||psi||`` of the order-``level`` series state at (rabi, eps, c0).
+
+    psi = exp(-z*alpha) (P_b(alpha)|up> + P_c(alpha)|down>) keeps b_0..b_N and
+    c_0..c_N, with E = N + branch*eps and z = branch*g. In the Bargmann form
+    a^dagger -> alpha, a -> d/dalpha, H_I - E sends it to exp(-z*alpha) times
+    a polynomial. Its coefficient of alpha^n for n < N is the recurrence step
+    that produced b_{n+1} or c_{n+1}, so it vanishes. At alpha^N the step
+    lacks the dropped g(N+1)c_{N+1} (upper level) or g(N+1)b_{N+1} (lower
+    level). At alpha^{N+1} only alpha*d/dalpha acting on exp(-z*alpha), which
+    gives -z*alpha, and the coupling g*alpha*sigma_x reach: g*c_N - z*b_N on
+    the upper level and g*b_N - z*c_N on the lower one. With
+    d = c_N - branch*b_N:
+
+        upper: -g(N+1) c_{N+1} alpha^N + g d alpha^{N+1}
+        lower: -g(N+1) b_{N+1} alpha^N - branch g d alpha^{N+1}
+
+    exp(-z*alpha) P(alpha) is the Bargmann function of exp(z^2/2) P(a^dagger)|-z>,
+    so both norms come from :func:`_shifted_norm2` and the common factor
+    cancels in the ratio: no cutoff enters, and the cost is O(N^2) float
+    operations. The arguments must be Python floats (``level`` too), as for
+    :func:`_roll_recurrence`. NaN where ||psi||^2 is 0 or not finite, and
+    NaN or inf where the residual's coefficients are not finite.
+    """
+    n = int(level)
+    b, c = [1.0], [c0]
+    _roll_recurrence(level + branch * eps, z, rabi, g, eps, c0, n + 1, b, c)
+    d = g * (c[n] - branch * b[n])
+    top = -g * (level + 1.0)
+    upper = [0.0] * n + [top * c[n + 1], d]
+    lower = [0.0] * n + [top * b[n + 1], -branch * d]
+    psi = _shifted_norm2(b[:-1], c[:-1], z)
+    if not 0.0 < psi < math.inf:
+        return math.nan
+    return math.sqrt(_shifted_norm2(upper, lower, z) / psi)
+
+
+def state_residual(sol: "SeriesSolution") -> float:
+    """``||(H_I - E) psi|| / ||psi||`` of a terminated series solution, exactly.
+
+    Computed from the series coefficients in O(N^2) with no Fock cutoff (see
+    :func:`_state_residual` for the identity). By the Weinstein bound a level
+    of the untruncated H_I lies within this distance of ``sol.energy``.
+    """
+    p = sol.params
+    return _state_residual(float(sol.order), sol.branch, p.g, sol.coeffs.z, p.rabi, p.eps,
+                           sol.c0)
+
+
 @dataclass
 class SeriesSolution:
     """A terminated series eigensolution of the transformed Hamiltonian.
 
     energy = order + branch*eps holds by construction; termination_residual is
     the max-norm of (b_{N+1}, c_{N+1}, c_N - branch*b_N) re-evaluated through the
-    recurrences. ``jacobian_rank`` and ``oracle_cutoff`` are filled by the
-    numeric solver: the rank of the residual Jacobian, and the cutoff at which
-    it counted a level of the transformed Hamiltonian within EIGEN_GAP_TOL of
-    the energy.
+    recurrences. Its scale follows the coefficients', which grow like g^-N, so
+    it is no measure of the state's error: :func:`state_residual` is, and the
+    numeric solver accepts a point on it. ``jacobian_rank`` and
+    ``oracle_cutoff`` are filled by the numeric solver: the rank of the
+    residual Jacobian, and the cutoff at which it counted a level of the
+    transformed Hamiltonian within EIGEN_GAP_TOL of the energy.
     """
 
     order: int
@@ -475,6 +552,12 @@ _TOL = 1e-10
 _STEP_TOL = 1e-12
 _MAX_ITER = 200
 
+#: tau: a point is certified when its state residual (see state_residual) is
+#: below tau * max(1, |E|). Oracle-failing points start at 1.24e-8 of
+#: max(1, |E|), and 99% of oracle-passing first points below _TOL sit under
+#: 1e-9 (README, "Accepting a point").
+_STATE_TOL = 2e-9
+
 #: Smallest rabi a converged point may have. At rabi = 0 the ion is undriven
 #: and E = N + branch*eps solves the system for every eps, so a start that
 #: slides there has found no driven solution.
@@ -541,13 +624,19 @@ def terminate_general(
     """Numerically terminate the series at a given order.
 
     Finds (rabi, eps, c0) such that generating the coefficients with
-    E = order + branch*eps and z = branch*g makes the residual vector
-    (b_{N+1}, c_{N+1}, c_N - branch*b_N) vanish in max-norm below 1e-10.
+    E = order + branch*eps and z = branch*g drives the residual vector
+    F = (b_{N+1}, c_{N+1}, c_N - branch*b_N) to zero, and accepts a point when
+    its state residual ``||(H_I - E) psi|| / ||psi||`` (:func:`state_residual`)
+    is below tau * max(1, |E|), tau = ``_STATE_TOL`` = 2e-9.
 
     The residual system has rank 2, so at fixed lamb_dicke the solutions form
     one-dimensional curves; damped Gauss-Newton with minimum-norm
     least-squares steps and finite-difference Jacobians converges to the
-    nearest manifold point. Pass ``fix="eps"`` or ``fix="rabi"`` to pin that
+    nearest manifold point. A start's descent stops at max|F| < 1e-10 on a
+    certified point, and otherwise runs until it stalls (no damped step
+    lowers ||F||, the step is below 1e-12, or 200 iterations); the first
+    start whose end point is certified, and passes the checks below, is
+    returned. Pass ``fix="eps"`` or ``fix="rabi"`` to pin that
     parameter at its value in ``guess``, in every start, and recover the
     isolated point the closed forms parametrize (needed for exact anchor
     recovery).
@@ -558,10 +647,11 @@ def terminate_general(
     ``cutoff``) within EIGEN_GAP_TOL by two level counts (``oracle.has_level``),
     which build no matrix; the solution's ``oracle_gap`` runs its ``eigvalsh``
     when read.
-    Raises NoSolutionFoundError (with the per-start residual trace) if nothing
-    converges. A start ends where its residual or Jacobian is not finite, and
-    converged points with rabi < 1e-8 (the undriven ion) or a full Jacobian
-    rank below 2 are rejected as out of domain.
+    Raises NoSolutionFoundError (with each start's final max|F| as the
+    residual trace) if no start is accepted. A start ends where its residual
+    or Jacobian is not finite, and certified points with rabi < 1e-8 (the
+    undriven ion) or a full Jacobian rank below 2 are rejected as out of
+    domain, with trace entry inf.
     """
     branch = _norm_branch(branch)
     if order < 1:
@@ -627,14 +717,25 @@ def terminate_general(
     buf = np.empty(3)  # _norm's scratch for every residual of this call
     step_buf = np.empty(len(free))  # and for every step
 
-    def descend(x: list) -> Tuple[list, Tuple[float, float, float]]:
-        """Damped Gauss-Newton from x: the last point and its residual."""
+    def certified(x: list) -> bool:
+        """Whether the state residual at x is below tau * max(1, |E|) (False on NaN)."""
+        rabi, eps, c0 = x
+        bound = _STATE_TOL * max(1.0, abs(level + branch * eps))
+        return _state_residual(level, branch, g, z, rabi, eps, c0) < bound
+
+    def descend(x: list) -> Tuple[list, Tuple[float, float, float], bool]:
+        """Damped Gauss-Newton from x: the last point, its residual, and whether
+        the point is certified. The descent stops at max|F| < _TOL only on a
+        certified point; otherwise it runs until it stalls."""
         F = residual(x)
         norm = _norm(F, buf)
+        ok = None  # certified(x), once computed for this x
         for _ in range(_MAX_ITER):
             size = _max_abs(F)  # inf or NaN when an entry is
             if size < _TOL:
-                break
+                ok = certified(x)
+                if ok:
+                    break
             if not (math.isfinite(size) and jacobian(x, free, J)):
                 break
             f0, f1, f2 = F
@@ -648,9 +749,10 @@ def terminate_general(
             # A trial whose float sum of squares exceeds this is rejected without
             # the numpy norm: both sums are within 3 ulp of the exact one, and
             # norm * norm within 2 ulp of the last ``dot``, so its ``dot`` is
-            # larger and its norm no smaller. Here max|F| >= _TOL, so no square
+            # larger and its norm no smaller. With norm > 1e-150 the largest
+            # square of a trial that exceeds it is a normal float, so no square
             # that decides it underflows; a NaN sum takes the numpy path.
-            above = norm * norm * (1.0 + 2.0**-40)
+            above = norm * norm * (1.0 + 2.0**-40) if norm > 1e-150 else math.inf
             for _ in range(30):
                 x_new = list(x)
                 for j, k in enumerate(free):
@@ -662,23 +764,23 @@ def terminate_general(
                     continue
                 norm_new = _norm(F_new, buf)
                 if math.isfinite(norm_new) and norm_new < norm:
-                    x, F, norm = x_new, F_new, norm_new
+                    x, F, norm, ok = x_new, F_new, norm_new, None
                     break
                 lam *= 0.5
             else:
                 break  # no damped step improved the residual
             if _norm([lam * s for s in step], step_buf) < _STEP_TOL:
                 break
-        return x, F
+        return x, F, certified(x) if ok is None else ok
 
     trace = []
     for start in starts:
         # numpy's lstsq error state around the descent only: the checks below
         # keep the caller's
         with np.errstate(**_LSTSQ_ERRSTATE):
-            x, F = descend([float(v) for v in start])
+            x, F, ok = descend([float(v) for v in start])
         trace.append(_max_abs(F))
-        if not trace[-1] < _TOL:  # NaN too
+        if not ok:
             continue
         rabi, eps, c0 = x
         # Rank of the full residual Jacobian at the converged point: 2, because

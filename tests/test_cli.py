@@ -157,10 +157,23 @@ class TestSolve:
         assert sol["solver_oracle_gap"] < 1e-6
         assert sol["oracle"]["passed"] is True
 
+    def test_order4_near_eta4_passes_the_oracle(self, tmp_path, capsys):
+        """The coefficient bound max|F| < 1e-10 accepted a point here whose mapped
+        state had Rayleigh residual 1.32e-7; the certificate keeps descending."""
+        out = tmp_path / "s4.json"
+        code = main(["solve", "--order", "4", "--eta", "3.828125", "--branch", "+",
+                     "--out", str(out)])
+        assert code == 0 and "passed=True" in capsys.readouterr().out
+        (sol,) = json.loads(read(out))["solutions"]
+        assert sol["oracle"]["passed"] is True and sol["oracle"]["residual"] < 1e-10
+
     def test_no_convergence_exit_code(self, tmp_path, capsys):
+        """At eta = 0.3 and eps = -2 no driven order-3 point exists: the c0
+        eliminant's cubic in rabi^2 has only positive coefficients
+        (tests/test_series.py::TestTerminateGeneral::test_no_convergence_reports_trace)."""
         code = main(
-            ["solve", "--order", "4", "--eta", "0.3", "--branch", "+",
-             "--guess", "9,9,9", "--fix", "eps", "--out", str(tmp_path / "x.json")]
+            ["solve", "--order", "3", "--eta", "0.3", "--branch", "+",
+             "--guess", "1,-2,0", "--fix", "eps", "--out", str(tmp_path / "x.json")]
         )
         assert code == 3
         assert "residual trace" in capsys.readouterr().err

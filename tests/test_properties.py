@@ -11,10 +11,17 @@ from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from ionseries.errors import ConstraintInfeasibleError, NoSolutionFoundError, PoleError
-from ionseries.model import FockBasis, build_h_lab, transform_uv
+from ionseries.model import FockBasis, build_h_lab, build_h_transformed, transform_uv
 from ionseries.oracle import validate_series_solution
 from ionseries.rwa import RwaQuery, rwa_energy, rwa_hamiltonian
-from ionseries.series import case1_closed_form, case2_closed_form, series_to_fock, terminate_general
+from ionseries.series import (
+    _solution_from_point,
+    case1_closed_form,
+    case2_closed_form,
+    series_to_fock,
+    state_residual,
+    terminate_general,
+)
 from ionseries.states import StateVector, cat_state, coherent_state, fidelity, parity, wigner_grid
 
 SETTINGS = settings(deadline=None, database=None,
@@ -152,24 +159,62 @@ def test_case2_states_are_lab_frame_eigenvectors(rabi, eta):
 
 @seed(20_227)
 @settings(SETTINGS, max_examples=25)
-@given(order=st.integers(3, 5), branch=BRANCH, eta=st.floats(0.05, 3.5),
+@given(order=st.integers(3, 5), branch=BRANCH, eta=ETA,
        guess=st.none() | st.tuples(st.floats(0.0, 4.0), st.floats(-2.0, 2.0),
                                     st.floats(-2.0, 2.0)))
 def test_general_solutions_pass_the_oracle(order, branch, eta, guess):
-    """Every ``terminate_general`` solution at orders 3-5 with 0.05 <= eta <= 3.5,
+    """Every ``terminate_general`` solution at orders 3-5 with 0.05 <= eta <= 4,
     from its heuristic seeds or from a guess with 0 <= rabi <= 4 and
     |eps|, |c0| <= 2, passes ``validate_series_solution`` at cutoff 150. An
-    input with no solution (NoSolutionFoundError) is allowed: 11 of 200
-    probed draws had none. The range stops below eta = 3.8, where the
-    solver's absolute 1e-10 termination gate passes order-4 points whose
-    mapped state misses the oracle's 1e-7 residual gate (at eta = 3.828125
-    and 3.919 in 760 probed draws over eta <= 4; CHANGES.md)."""
+    input with no solution (NoSolutionFoundError) is allowed: 2 of 200
+    probed draws had none. Under the former absolute 1e-10 termination gate
+    this range failed at eta = 3.828125 and 3.919 (order 4), whose points
+    the state-residual certificate now refuses."""
     try:
         sol = terminate_general(order, branch, eta, guess)
     except NoSolutionFoundError:
         return
     report = validate_series_solution(sol, FockBasis(CUTOFF))
     assert report.passed, (order, branch, eta, guess, sol.params, report)
+
+
+@seed(20_233)
+@settings(SETTINGS, max_examples=30)
+@given(order=st.integers(1, 8), branch=BRANCH, log_eta=st.floats(-4.0, math.log10(4.0)),
+       point=st.tuples(st.floats(0.0, 4.0), EPS, st.floats(-2.0, 2.0)), solved=st.booleans())
+def test_state_residual_is_the_dense_residual(order, branch, log_eta, point, solved):
+    """``state_residual`` equals the dense residual ||H_I v - E v|| of the
+    normalized mapped state v at cutoff 150, within
+    1e-13 max(1, |E|) + 1e-12 ||H_I v - E v||, for orders 1-8 and
+    1e-4 <= eta <= 4 (|z| <= 2). The state is a solution when ``solved``
+    (``terminate_general`` from its heuristic seeds at orders >= 3, the closed
+    forms at orders 1 and 2, each at the drawn eps or rabi) and otherwise the
+    series at the drawn (rabi, eps, c0), whose residual is of order 1. A state
+    that cutoff 150 cannot hold raises TruncationError in ``series_to_fock``,
+    so the dense side is converged. Over 300 probed draws the two agreed
+    within 1.4e-14, and within 1.7e-14 relative where the residual exceeded
+    1e-6."""
+    eta = 10.0 ** log_eta
+    rabi, eps, c0 = point
+    sol = None
+    if solved:
+        try:
+            if order >= 3:
+                sol = terminate_general(order, branch, eta)
+            elif order == 1:
+                sol = case1_closed_form(eta, eps, branch)
+            else:
+                sol = next(iter(case2_closed_form(rabi, eta, branches=(branch,))), None)
+        except (NoSolutionFoundError, ConstraintInfeasibleError, PoleError):
+            pass
+    if sol is None:
+        sol = _solution_from_point(order, branch, eta, rabi, eps, c0)
+    basis = FockBasis(CUTOFF)
+    v = series_to_fock(sol, basis).amplitudes
+    H = build_h_transformed(sol.params, basis).entries
+    dense = float(np.linalg.norm(H @ v - sol.energy * v))
+    bound = 1e-13 * max(1.0, abs(sol.energy)) + 1e-12 * dense
+    assert abs(state_residual(sol) - dense) <= bound, (order, branch, eta, sol.params, dense)
 
 
 #: Motional states inside the Wigner recurrence's measured range: cats with

@@ -19,6 +19,7 @@ from ionseries.errors import (
     TruncationError,
 )
 from ionseries.model import FockBasis, ModelParams
+from ionseries.oracle import validate_series_solution
 from ionseries.series import (
     QuadraticCoeffs,
     SeriesCoefficients,
@@ -34,6 +35,7 @@ from ionseries.series import (
     recurrence_coefficients,
     series_to_fock,
     special_case_small_eta,
+    state_residual,
     terminate_general,
 )
 from ionseries.states import coherent_state
@@ -442,6 +444,16 @@ class TestTerminateGeneral:
         assert sol.jacobian_rank == 2
         assert sol.oracle_gap is not None and sol.oracle_gap < 1e-6
 
+    def test_input_with_rounding_level_stalls_is_solved(self):
+        """On (8, -1, 0.2449) six of the eight starts stall at max|F| between 2.6e-10
+        and 5.4e-9, the first at 1.7e-9, which the former coefficient bound 1e-10
+        refused. The first start's point has state residual 1.5e-16 and passes
+        the oracle."""
+        sol = terminate_general(8, -1, 0.2449)
+        assert sol.termination_residual >= 1e-10
+        assert state_residual(sol) < 1e-12
+        assert validate_series_solution(sol, FockBasis(150)).passed
+
     def test_solver_runs_no_dense_eigensolve(self, monkeypatch):
         """The check counts levels; only reading oracle_gap runs one eigvalsh, once."""
         calls = []
@@ -465,11 +477,31 @@ class TestTerminateGeneral:
         assert exc_info.value.residual_trace == [math.inf] * 8
 
     def test_no_convergence_reports_trace(self):
-        with pytest.raises(NoSolutionFoundError) as exc_info:
-            terminate_general(4, 1, 0.3, guess=(9.0, 9.0, 9.0), fix="eps")
-        trace = exc_info.value.residual_trace
-        assert len(trace) == 8
-        assert all(isinstance(t, float) for t in trace)
+        """Two inputs with no termination point, at eta = 0.3 and eps = -2 pinned.
+
+        Order 1: rabi^2 = 4(1 + 2 eps - eta^2) = -12.36 has no real root
+        (``case1_closed_form`` refuses it). Order 3: eliminating c0 from the two
+        affine conditions leaves -rabi q(rabi^2) / (18432 g^7) with
+        q(y) = y^3 + 42.16 y^2 + 572.6256 y + 2520.971136, whose coefficients
+        are all positive, so q has no root y >= 0 (its roots are -19.0, -12.7
+        and -10.4) and only the undriven rabi = 0 solves it. The test checks q
+        against the conditions at a few rabi.
+        """
+        g, eps = 0.15, -2.0
+        with pytest.raises(ConstraintInfeasibleError):
+            case1_closed_form(2.0 * g, eps, 1)
+        for rabi in (0.1, 1.0, 3.0, 10.0):
+            t0, t_slope, u0, u_slope = _affine_conditions(3, 1, rabi, g, eps)
+            y = rabi * rabi
+            q = ((y + 42.16) * y + 572.6256) * y + 2520.971136
+            assert t0 * u_slope - t_slope * u0 == pytest.approx(-rabi * q / (18432 * g**7),
+                                                                rel=1e-9)
+        for order in (1, 3):
+            with pytest.raises(NoSolutionFoundError) as exc_info:
+                terminate_general(order, 1, 2.0 * g, guess=(1.0, eps, 0.0), fix="eps")
+            trace = exc_info.value.residual_trace
+            assert len(trace) == 8
+            assert all(isinstance(t, float) for t in trace)
 
     @pytest.mark.parametrize("args, kwargs", [
         ((3, 1, 0.3), {"guess": (1e200, 1e200, 1e200)}),

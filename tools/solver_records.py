@@ -15,7 +15,11 @@ rabi, detuning, c0, energy and termination residual with its Jacobian rank,
 or the ``float.hex`` of each entry of the residual trace of an input that
 raised NoSolutionFoundError. The line printed per seed gives both sides'
 sha256 over the ``repr`` of all records in pool order, and how many inputs
-were solved. Exits 1 when a seed's hashes differ.
+were solved. When a seed's hashes differ, one line follows for each input
+whose record changed: its order, branch and eta, and base -> tree as
+``unsolved -> solved``, ``solved -> unsolved``, ``solved, moved`` (another
+point) or ``unsolved, moved`` (another trace). Exits 1 when a seed's hashes
+differ.
 """
 
 from __future__ import annotations
@@ -32,16 +36,18 @@ from bench_pairs import unpack
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Run in the tree under test: prints ``{"sha256": ..., "solved": ...}`` for seed argv[1].
+#: Run in the tree under test: prints ``{"sha256": ..., "solved": ..., "inputs": ...,
+#: "items": ..., "records": ...}`` for seed argv[1]; a solved record ends in its rank.
 RECORDS = """
 import hashlib, json, sys
 from ionseries.errors import NoSolutionFoundError
 from ionseries.series import terminate_general
 from perfbench.workloads import TerminationScan
 
-records, solved = [], 0
+items, records, solved = [], [], 0
 for cell in TerminationScan(int(sys.argv[1]), None, None).cells:
     for item in cell:
+        items.append(item)
         try:
             sol = terminate_general(*item)
         except NoSolutionFoundError as exc:
@@ -52,8 +58,25 @@ for cell in TerminationScan(int(sys.argv[1]), None, None).cells:
                  sol.termination_residual)
         records.append(tuple(float(v).hex() for v in point) + (sol.jacobian_rank,))
 print(json.dumps({"sha256": hashlib.sha256(repr(records).encode()).hexdigest(),
-                  "solved": solved, "inputs": len(records)}))
+                  "solved": solved, "inputs": len(records), "items": items,
+                  "records": records}))
 """
+
+
+def _verdict(record: list) -> str:
+    return "solved" if isinstance(record[-1], int) else "unsolved"
+
+
+def changed_inputs(base: dict, change: dict) -> list:
+    """One line per pool input whose record differs between the two summaries."""
+    lines = []
+    for (order, branch, eta), old, new in zip(base["items"], base["records"], change["records"]):
+        if old == new:
+            continue
+        before, after = _verdict(old), _verdict(new)
+        what = f"{before}, moved" if before == after else f"{before} -> {after}"
+        lines.append(f"  order {order} branch {branch:+d} eta {eta!r}: {what}")
+    return lines
 
 
 def pool_records(tree: Path, seed: int) -> dict:
@@ -80,11 +103,13 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             base = pool_records(Path(tmp) / "tree", seed)
             change = pool_records(ROOT, seed)
-            match = base == change
+            match = base["sha256"] == change["sha256"]
             same = same and match
             print(f"seed {seed}: base {base['sha256']}  working tree {change['sha256']}  "
                   f"solved {base['solved']}/{base['inputs']} and "
                   f"{change['solved']}/{change['inputs']}  {'same' if match else 'DIFFERENT'}")
+            if not match:
+                print("\n".join(changed_inputs(base, change)))
     return 0 if same else 1
 
 
