@@ -26,8 +26,10 @@ Conventions: floats are written with %.12g so identical configurations give
 byte-identical files; infeasible parameter regions produce no rows (never
 placeholder zeros); exit codes are 0 success, 1 validation failure, 2 bad
 arguments, paths or parameter values, 3 solver non-convergence. Each
-subcommand takes only the flags it reads. Where --cutoff exists (all but fig),
-IONTRAP_CUTOFF overrides its default of 150 and an explicit --cutoff beats both.
+subcommand takes only the flags it reads, and solve refuses an --omega,
+--detuning, --guess or --fix that its --order does not read. Where --cutoff
+exists (all but fig), IONTRAP_CUTOFF overrides its default of 150 and an
+explicit --cutoff beats both.
 A --config JSON object is read as ``--key=value`` flags ahead of the command
 line's own, so explicit flags win and keys the subcommand lacks are ignored.
 """
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import IonSeriesError, NoSolutionFoundError
 from .model import FockBasis, ModelParams, build_h_transformed
-from .oracle import hermitian_eigensystem, nearest_eigenpair, validate_series_solution
+from .oracle import hermitian_eigensystem, nearest_eigenpair, nearest_level, validate_series_solution
 from .rwa import fig_curves, find_crossings
 from .series import (
     SeriesSolution,
@@ -307,10 +309,10 @@ def _solution_payload(sol: SeriesSolution, cutoff: int, with_eq7: bool) -> dict:
     if with_eq7:
         payload["eq7_residual"] = eq7_residual(sol.params.rabi, sol.params.lamb_dicke,
                                                sol.params.eps, sol.branch)
-    if sol.jacobian_rank is not None:
+    if sol.jacobian_rank is not None:  # the numeric solver's solutions only
         payload["jacobian_rank"] = int(sol.jacobian_rank)
-    if sol.oracle_gap is not None:
-        payload["solver_oracle_gap"] = sol.oracle_gap
+        payload["solver_oracle_gap"] = abs(nearest_level(sol.params, cutoff, sol.energy)
+                                           - sol.energy)
     return payload
 
 
@@ -322,9 +324,17 @@ def run_solve(args: argparse.Namespace) -> int:
         raise CliError("solve requires --eta")
     eta = args.eta[0]
     branches = args.branch
+    unread = [flag for flag, given, read in (
+        ("--omega", args.omega is not None, order == 2),
+        ("--detuning", args.detuning is not None, order == 1),
+        ("--guess", args.guess is not None, order >= 3),
+        ("--fix", args.fix is not None, order >= 3),
+    ) if given and not read]
+    if unread:
+        raise CliError(f"solve --order {order} does not read {', '.join(unread)}")
 
     if order == 1:
-        eps = -args.detuning / 2.0
+        eps = -(0.0 if args.detuning is None else args.detuning) / 2.0
         sols = [case1_closed_form(eta, eps, b) for b in branches]
     elif order == 2:
         if args.omega is None:
@@ -332,7 +342,7 @@ def run_solve(args: argparse.Namespace) -> int:
         sols = case2_closed_form(args.omega, eta, branches=branches)
     else:
         sols = [
-            terminate_general(order, b, eta, guess=args.guess, fix=args.fix, cutoff=args.cutoff)
+            terminate_general(order, b, eta, guess=args.guess, fix=args.fix)
             for b in branches
         ]
 
@@ -491,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=None, help="termination order N >= 1")
     sp.add_argument("--branch", type=_branches, default=(1, -1), help="+ or - (default both)")
     sp.add_argument("--omega", type=_finite, default=None, help="rabi frequency (order 2)")
-    sp.add_argument("--detuning", type=_finite, default=0.0, help="detuning (order 1)")
+    sp.add_argument("--detuning", type=_finite, default=None, help="detuning (order 1; default 0)")
     sp.add_argument("--guess", type=_guess, default=None, help="rabi,eps,c0 start (order >= 3)")
     sp.add_argument("--fix", choices=("eps", "rabi"), default=None)
 

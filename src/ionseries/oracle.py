@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NonHermitianError, TruncationError
 from .model import FockBasis, ModelParams, OperatorMatrix, _h_transformed_band, build_h_transformed
+from .series import series_to_fock
 from .states import _run_pair
 
 __all__ = [
@@ -146,31 +147,13 @@ def levels_below(p: ModelParams, cutoff: int, sigma: float) -> int:
     OverflowError when the factorization overflows, which takes entries
     near 1e154, and ValueError for a sigma that is not finite.
     """
-    return _count_below(_band_lists(p, cutoff), sigma)
-
-
-def has_level(p: ModelParams, cutoff: int, energy: float) -> bool:
-    """Whether H_I at ``cutoff`` has a level in [energy - EIGEN_GAP_TOL, energy + EIGEN_GAP_TOL).
-
-    Two ``levels_below`` counts on one band; no matrix is built.
-    """
-    band = _band_lists(p, cutoff)
-    return _count_below(band, energy + EIGEN_GAP_TOL) > _count_below(band, energy - EIGEN_GAP_TOL)
-
-
-def _band_lists(p: ModelParams, cutoff: int) -> tuple:
-    """``model._h_transformed_band`` as the lists (down, up, hop) and the float eps."""
     down, up, eps, hop = _h_transformed_band(p, FockBasis(cutoff).cutoff)
-    return down.tolist(), up.tolist(), hop.tolist(), eps
-
-
-def _count_below(band: tuple, sigma: float) -> int:
-    """``levels_below`` on the ``_band_lists`` of H_I, with its zero-pivot restart."""
+    down, up, hop = down.tolist(), up.tolist(), hop.tolist()
     sigma = float(sigma)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
     while True:
-        count = _block_inertia(*band, sigma)
+        count = _block_inertia(down, up, hop, eps, sigma)
         if count is not None:
             return count
         sigma -= 1e-12 * max(1.0, abs(sigma))
@@ -220,8 +203,6 @@ def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
     either way. The budget bounds memory: overlapping at cutoff 400 too raised
     the validation benchmark's peak RSS from 94 to 114 MB.
     """
-    from .series import series_to_fock  # deferred to avoid an import cycle
-
     H = build_h_transformed(sol.params, basis)
     try:
         state, spec = _run_pair(lambda: series_to_fock(sol, basis),

@@ -28,7 +28,7 @@ which at fixed lamb_dicke is a one-dimensional curve in (rabi, eps, c0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +44,6 @@ from .errors import (
     TruncationError,
 )
 from .model import FockBasis, ModelParams, _displacement_entries, _require_spin
-from .oracle import has_level, nearest_level
 from .states import StateVector, _within_tail_budget
 
 __all__ = [
@@ -259,10 +258,8 @@ class SeriesSolution:
     the max-norm of (b_{N+1}, c_{N+1}, c_N - branch*b_N) re-evaluated through the
     recurrences. Its scale follows the coefficients', which grow like g^-N, so
     it is no measure of the state's error: :func:`state_residual` is, and the
-    numeric solver accepts a point on it. ``jacobian_rank`` and
-    ``oracle_cutoff`` are filled by the numeric solver: the rank of the
-    residual Jacobian, and the cutoff at which it counted a level of the
-    transformed Hamiltonian within EIGEN_GAP_TOL of the energy.
+    numeric solver accepts a point on it. ``jacobian_rank`` is filled by the
+    numeric solver: the rank of the residual Jacobian at the point.
     """
 
     order: int
@@ -272,8 +269,6 @@ class SeriesSolution:
     coeffs: SeriesCoefficients
     termination_residual: float
     jacobian_rank: Optional[int] = None
-    oracle_cutoff: Optional[int] = None
-    _oracle_gap: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -288,18 +283,6 @@ class SeriesSolution:
     @property
     def c0(self) -> float:
         return float(self.coeffs.c[0])
-
-    @property
-    def oracle_gap(self) -> Optional[float]:
-        """Distance from the energy to the nearest level of H_I at ``oracle_cutoff``.
-
-        None without an ``oracle_cutoff``. The one ``eigvalsh`` runs on the
-        first read, and its value is kept.
-        """
-        if self._oracle_gap is None and self.oracle_cutoff is not None:
-            level = nearest_level(self.params, self.oracle_cutoff, self.energy)
-            self._oracle_gap = float(abs(level - self.energy))
-        return self._oracle_gap
 
 
 def _solution_from_point(
@@ -619,7 +602,6 @@ def terminate_general(
     guess: Optional[Tuple[float, float, float]] = None,
     *,
     fix: Optional[str] = None,
-    cutoff: int = 150,
 ) -> SeriesSolution:
     """Numerically terminate the series at a given order.
 
@@ -642,11 +624,10 @@ def terminate_general(
     recovery).
 
     ``guess`` is (rabi, eps, c0), tried first and then from 7 seeded jitters
-    of itself; without one, 8 heuristic seeds are tried. The solution's energy
-    is checked to be an eigenvalue of the transformed Hamiltonian (cutoff
-    ``cutoff``) within EIGEN_GAP_TOL by two level counts (``oracle.has_level``),
-    which build no matrix; the solution's ``oracle_gap`` runs its ``eigvalsh``
-    when read.
+    of itself; without one, 8 heuristic seeds are tried. The certificate is
+    the only energy check: by the Weinstein-Kato bound, the untruncated H_I
+    has a level within the state residual of E, so no cutoff enters and no
+    matrix is built.
     Raises NoSolutionFoundError (with each start's final max|F| as the
     residual trace) if no start is accepted. A start ends where its residual
     or Jacobian is not finite, and certified points with rabi < 1e-8 (the
@@ -798,10 +779,6 @@ def terminate_general(
             continue
         sol = _solution_from_point(order, branch, eta, rabi, eps, c0)
         sol.jacobian_rank = rank
-        if not has_level(sol.params, cutoff, sol.energy):
-            trace[-1] = float("inf")
-            continue
-        sol.oracle_cutoff = cutoff
         return sol
     raise NoSolutionFoundError(
         f"no order-{order} termination point found for branch {branch:+d}, "

@@ -24,6 +24,7 @@ from ionseries.model import FockBasis, build_h_transformed
 from ionseries.oracle import (
     hermitian_eigensystem,
     nearest_eigenpair,
+    nearest_level,
     validate_series_solution,
 )
 from ionseries.rwa import RwaQuery, rwa_energy, rwa_hamiltonian
@@ -162,7 +163,7 @@ def test_criterion_05_general_order_solver():
         assert abs(rec2.c0 - anchor2.c0) < 1e-8
 
         sol3 = terminate_general(3, 1, 0.3)
-        assert sol3.oracle_gap is not None and sol3.oracle_gap < 1e-6
+        assert abs(nearest_level(sol3.params, 150, sol3.energy) - sol3.energy) < 1e-6
         assert sol3.termination_residual < 1e-9
         assert sol3.jacobian_rank == 2
 

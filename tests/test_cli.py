@@ -121,6 +121,14 @@ class TestSolve:
         assert sol["oracle"]["eigen_gap"] < 1e-6
         assert "eq7_residual" not in sol
 
+    def test_order1_detuning_defaults_to_zero(self, tmp_path):
+        """Without --detuning order 1 solves at detuning 0, byte for byte."""
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        argv = ["solve", "--order", "1", "--eta", "0.2", "--branch", "+"]
+        assert main([*argv, "--out", str(implicit)]) == 0
+        assert main([*argv, "--detuning", "0", "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
     def test_order2_payload(self, tmp_path):
         out = tmp_path / "s2.json"
         code = main(["solve", "--order", "2", "--omega", "0.5", "--eta", "0.1", "--out", str(out)])
@@ -430,6 +438,31 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--order", "1", "--eta", "0.2", "--guess", "9,9,9", "--fix", "eps", "--omega", "7"],
+         "--omega, --guess, --fix"),
+        (["--order", "3", "--eta", "0.3", "--omega", "0.1", "--detuning", "5"],
+         "--omega, --detuning"),
+        (["--order", "2", "--eta", "0.1", "--omega", "0.5", "--detuning", "0"], "--detuning"),
+        (["--order", "2", "--eta", "0.1", "--omega", "0.5", "--guess", "1,0,0"], "--guess"),
+        (["--order", "4", "--eta", "0.3", "--omega", "0.5"], "--omega"),
+        (["--order", "1", "--eta", "0.2", "--fix", "rabi"], "--fix"),
+    ], ids=["order1-guess-fix-omega", "order3-omega-detuning", "order2-detuning",
+            "order2-guess", "order4-omega", "order1-fix"])
+    def test_solve_refuses_flags_its_order_does_not_read(self, tmp_path, capsys, argv, unread):
+        out = tmp_path / "x.json"
+        assert main(["solve", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and err[0].endswith(unread)
+
+    def test_solve_refuses_an_unread_flag_from_config(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"omega": 0.5}))
+        assert main(["solve", "--order", "1", "--eta", "0.2", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith("--omega")
 
     @pytest.mark.parametrize("eta", ["0", "-0.0", "-0.2"])
     @pytest.mark.parametrize("order", ["1", "2", "3"])

@@ -27,7 +27,7 @@ from ionseries import model, oracle, series, states
 from ionseries.errors import IonSeriesError, NoSolutionFoundError, TruncationError
 from ionseries.model import FockBasis, ModelParams, build_h_lab, build_h_transformed
 from ionseries.rwa import RwaQuery, rwa_hamiltonian
-from ionseries.oracle import EIGEN_GAP_TOL, nearest_level
+from ionseries.oracle import nearest_level
 from ionseries.series import (
     _HEURISTIC_SEEDS,
     _MAX_ITER,
@@ -123,7 +123,7 @@ def fd_jacobian(f, x, free):
     return J
 
 
-def vector_terminate_general(order, branch, eta, guess=None, *, fix=None, cutoff=150):
+def vector_terminate_general(order, branch, eta, guess=None, *, fix=None):
     """terminate_general with its residuals, Jacobian and tests on numpy 3-vectors.
 
     Each residual comes from the ndarray recurrence. The starts keep a pinned
@@ -131,9 +131,8 @@ def vector_terminate_general(order, branch, eta, guess=None, *, fix=None, cutoff
     finite, as the library's do. A descent stops below _TOL only on a point
     that the library's ``_state_residual`` certifies, and runs until it stalls
     otherwise; an uncertified end point, one with rank below 2 and one with
-    rabi < 1e-8 (the undriven ion) are rejected. The energy check
-    is the dense one, the nearest ``eigvalsh`` level within EIGEN_GAP_TOL, so
-    equal bits also show that the library's level count agrees with it.
+    rabi < 1e-8 (the undriven ion) are rejected; the certificate is the only
+    energy check, as in the library.
     """
     g = eta / 2.0
     free = [k for k, name in enumerate(("rabi", "eps", "c0")) if name != fix]
@@ -206,11 +205,6 @@ def vector_terminate_general(order, branch, eta, guess=None, *, fix=None, cutoff
             continue
         sol = _solution_from_point(order, branch, eta, rabi, eps, c0)
         sol.jacobian_rank = rank
-        gap = abs(nearest_level(sol.params, cutoff, sol.energy) - sol.energy)
-        if gap > EIGEN_GAP_TOL:
-            trace[-1] = float("inf")
-            continue
-        sol._oracle_gap = float(gap)
         return sol
     raise NoSolutionFoundError("no termination point found", residual_trace=trace)
 
@@ -358,7 +352,8 @@ def _solver_bits(solve, *args, **kwargs):
     except NoSolutionFoundError as exc:
         return [t.hex() for t in exc.residual_trace]
     p = sol.params
-    return tuple(v.hex() for v in (p.rabi, p.detuning, sol.c0, sol.oracle_gap)) + (
+    gap = abs(nearest_level(p, 150, sol.energy) - sol.energy)
+    return tuple(v.hex() for v in (p.rabi, p.detuning, sol.c0, gap)) + (
         sol.jacobian_rank, sol.termination_residual.hex())
 
 
@@ -749,7 +744,7 @@ class TestOverlappedValidation:
         def truncated(sol, basis):
             raise TruncationError("tail mass")
 
-        monkeypatch.setattr(series, "series_to_fock", truncated)
+        monkeypatch.setattr(oracle, "series_to_fock", truncated)
         monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
         _use_cpus(monkeypatch, cpus)
         before = threading.active_count()
@@ -771,7 +766,7 @@ class TestOverlappedValidation:
         def failing(sol, basis):
             raise ValueError("displacement failed")
 
-        monkeypatch.setattr(series, "series_to_fock", failing)
+        monkeypatch.setattr(oracle, "series_to_fock", failing)
         monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
         _use_cpus(monkeypatch, cpus)
         before = threading.active_count()

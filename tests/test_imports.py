@@ -197,6 +197,40 @@ def test_only_the_runner_makes_threads_and_nothing_locks():
         "states.py": [("_run_pair", "Thread")]}
 
 
+def local_package_imports(source: str):
+    """Sorted line numbers where a function imports a module of the package, by
+    a relative import or by the name ``ionseries``. Other lazy imports (such as
+    ``model``'s of scipy) are not flagged."""
+    lines = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                if node.level > 0 or (node.module or "").split(".")[0] == "ionseries":
+                    lines.add(node.lineno)
+            elif isinstance(node, ast.Import):
+                if any(alias.name.split(".")[0] == "ionseries" for alias in node.names):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_local_import_guard_flags_package_imports_in_functions():
+    source = ("from . import model\nimport ionseries\n"
+              "def f():\n    from .series import series_to_fock\n    from scipy.linalg import expm\n"
+              "    def g():\n        import ionseries.states\n    return g\n"
+              "class C:\n    def m(self):\n        from ionseries import oracle\n")
+    assert local_package_imports(source) == [4, 7, 11]
+
+
+def test_no_module_imports_the_package_inside_a_function():
+    """Every module imports its package dependencies at module level, so the
+    import graph has no cycle hidden behind a deferred import."""
+    sites = {p.name: local_package_imports(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+
+
 def ionseries_namespaces():
     """``{module name: copy of its namespace}`` for every loaded ionseries module."""
     return {key: dict(vars(m)) for key, m in list(sys.modules.items())

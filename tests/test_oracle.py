@@ -7,13 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ionseries import model, oracle
+from ionseries import model
 from ionseries.errors import InvalidBasisError, NonHermitianError
 from ionseries.model import FockBasis, ModelParams, OperatorMatrix, build_h_transformed
 from ionseries.oracle import (
     Spectrum,
-    EIGEN_GAP_TOL,
-    has_level,
     hermitian_eigensystem,
     levels_below,
     nearest_eigenpair,
@@ -232,8 +230,7 @@ class TestLevelsBelow:
             cutoff = int(rng.integers(5, 31))
             p = ModelParams(rng.uniform(0.0, 3.0), rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0))
             sigmas, w = leading_block_probes(p, cutoff)
-            band = oracle._band_lists(p, cutoff)
-            assert [oracle._count_below(band, s) for s in sigmas] == [
+            assert [levels_below(p, cutoff, s) for s in sigmas] == [
                 int(np.sum(w < s)) for s in sigmas]
 
     def test_level_at_sigma_is_not_counted(self):
@@ -250,30 +247,6 @@ class TestLevelsBelow:
             levels_below(P_ANCHOR, 40, float("nan"))
         with pytest.raises(InvalidBasisError):
             levels_below(P_ANCHOR, 1, 0.5)
-
-    @pytest.mark.parametrize("rabi, eta", [(0.5, 1.0), (0.8, 0.3), (0.9, 0.6)])
-    def test_has_level_is_two_counts_on_one_band(self, rabi, eta):
-        """``has_level`` counts on one band and gives what two ``levels_below``
-        calls give. At (0.5, 1.0) the first block is singular at sigma = 0, which
-        energy -/+ EIGEN_GAP_TOL hits exactly, so both zero-pivot restarts run."""
-        p = ModelParams(rabi, eta, 0.0)
-        singular = -rabi / 2.0 + (eta / 2.0) ** 2
-        energies = [singular - EIGEN_GAP_TOL, singular + EIGEN_GAP_TOL, *dense_levels(p, 40)[:6]]
-        if singular == 0.0:
-            assert oracle._block_inertia(*oracle._band_lists(p, 40), 0.0) is None
-            assert energies[0] + EIGEN_GAP_TOL == 0.0 == energies[1] - EIGEN_GAP_TOL
-        for energy in energies:
-            counts = levels_below(p, 40, energy + EIGEN_GAP_TOL), levels_below(
-                p, 40, energy - EIGEN_GAP_TOL)
-            assert has_level(p, 40, energy) == (counts[0] > counts[1])
-
-    def test_has_level_within_the_gap_tolerance(self):
-        """The solver's check: a level 5e-7 away is accepted, one 2e-6 away is not."""
-        p = ModelParams(rabi=0.9, lamb_dicke=0.6, detuning=0.4)
-        for level in dense_levels(p, 150)[[0, 7, 40]]:
-            for sign in (-1.0, 1.0):
-                assert has_level(p, 150, level + sign * 0.5 * EIGEN_GAP_TOL)
-                assert not has_level(p, 150, level + sign * 2.0 * EIGEN_GAP_TOL)
 
 
 class TestValidateSeriesSolution:

@@ -19,7 +19,7 @@ from ionseries.errors import (
     TruncationError,
 )
 from ionseries.model import FockBasis, ModelParams
-from ionseries.oracle import validate_series_solution
+from ionseries.oracle import nearest_level, validate_series_solution
 from ionseries.series import (
     QuadraticCoeffs,
     SeriesCoefficients,
@@ -393,7 +393,7 @@ class TestTerminateGeneral:
         assert abs(sol.params.rabi - anchor.params.rabi) < 1e-8
         assert abs(sol.c0 - anchor.c0) < 1e-8
         assert sol.jacobian_rank == 2
-        assert sol.oracle_gap is not None and sol.oracle_gap < 1e-6
+        assert abs(nearest_level(sol.params, 150, sol.energy) - sol.energy) < 1e-6
 
     def test_recovers_order2_anchor_with_pinned_rabi(self):
         anchor = case2_closed_form(0.5, 0.1)[0]
@@ -442,7 +442,7 @@ class TestTerminateGeneral:
         assert sol.termination_residual < 1e-9
         assert sol.energy == pytest.approx(3 - sol.params.detuning / 2.0, abs=1e-12)
         assert sol.jacobian_rank == 2
-        assert sol.oracle_gap is not None and sol.oracle_gap < 1e-6
+        assert abs(nearest_level(sol.params, 150, sol.energy) - sol.energy) < 1e-6
 
     def test_input_with_rounding_level_stalls_is_solved(self):
         """On (8, -1, 0.2449) six of the eight starts stall at max|F| between 2.6e-10
@@ -455,7 +455,8 @@ class TestTerminateGeneral:
         assert validate_series_solution(sol, FockBasis(150)).passed
 
     def test_solver_runs_no_dense_eigensolve(self, monkeypatch):
-        """The check counts levels; only reading oracle_gap runs one eigvalsh, once."""
+        """The state residual is the solver's only energy check: it builds no
+        matrix. The dense gap of its point is one eigvalsh, run by the caller."""
         calls = []
         eigensystem, build = oracle.hermitian_eigensystem, oracle.build_h_transformed
         monkeypatch.setattr(oracle, "hermitian_eigensystem",
@@ -463,18 +464,10 @@ class TestTerminateGeneral:
         monkeypatch.setattr(oracle, "build_h_transformed",
                             lambda *a, **k: calls.append("build") or build(*a, **k))
         sol = terminate_general(3, 1, 0.3)
-        assert calls == [] and sol.oracle_cutoff == 150
-        assert sol.oracle_gap.hex() == "0x1.aa00000000000p-44"
+        assert calls == []
+        gap = abs(nearest_level(sol.params, 150, sol.energy) - sol.energy)
+        assert gap.hex() == "0x1.aa00000000000p-44"
         assert calls == ["build", "eig"]
-        assert sol.oracle_gap.hex() == "0x1.aa00000000000p-44"
-        assert calls == ["build", "eig"]
-
-    def test_energy_off_the_truncated_spectrum_is_rejected(self):
-        """The heuristic starts converge at any cutoff (test above), but at cutoff
-        4 their energy is no eigenvalue of the truncated Hamiltonian."""
-        with pytest.raises(NoSolutionFoundError) as exc_info:
-            terminate_general(3, 1, 0.3, cutoff=4)
-        assert exc_info.value.residual_trace == [math.inf] * 8
 
     def test_no_convergence_reports_trace(self):
         """Two inputs with no termination point, at eta = 0.3 and eps = -2 pinned.
@@ -676,10 +669,6 @@ class TestSeriesSolutionInvariants:
                 coeffs=good.coeffs,
                 termination_residual=0.0,
             )
-
-    def test_closed_form_has_no_oracle_gap(self):
-        sol = case1_closed_form(0.2, 0.0, 1)
-        assert sol.oracle_cutoff is None and sol.oracle_gap is None
 
     def test_order_floor(self):
         good = case1_closed_form(0.2, 0.0, 1)

@@ -3,8 +3,9 @@
 ``terminate_general`` is deterministic: 8 fixed heuristic seeds, or a guess
 and 7 jitters of it from a seeded generator, refined by damped Gauss-Newton.
 Its printed digits are golden-pinned, so every returned point is frozen here
-as ``float.hex`` of (rabi, detuning, c0, oracle_gap), its ``jacobian_rank`` and
-the ``float.hex`` of its termination residual, and every unsolved input as the
+as ``float.hex`` of (rabi, detuning, c0, gap), its ``jacobian_rank`` and
+the ``float.hex`` of its termination residual, where gap is the distance from
+its energy to the nearest ``eigvalsh`` level of H_I at cutoff 150, and every unsolved input as the
 ``float.hex`` of its 8-entry residual trace.
 
 GRID keys are (order, branch, index into ETAS): two inputs for each order 3..8
@@ -29,6 +30,7 @@ import numpy as np
 import pytest
 
 from ionseries.errors import NoSolutionFoundError
+from ionseries.oracle import nearest_level
 from ionseries.series import case1_closed_form, case2_closed_form, terminate_general
 
 ETAS = np.linspace(0.05, 0.8, 16)
@@ -161,7 +163,8 @@ def record(*args, **kwargs):
     except NoSolutionFoundError as exc:
         return [t.hex() for t in exc.residual_trace]
     p = sol.params
-    return tuple(v.hex() for v in (p.rabi, p.detuning, sol.c0, sol.oracle_gap)) + (
+    gap = abs(nearest_level(p, 150, sol.energy) - sol.energy)
+    return tuple(v.hex() for v in (p.rabi, p.detuning, sol.c0, gap)) + (
         sol.jacobian_rank, sol.termination_residual.hex())
 
 

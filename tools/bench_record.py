@@ -68,9 +68,8 @@ def print_layer_times() -> None:
     """Print ``{layer: median seconds}`` as JSON on the last line of stdout.
 
     The order-1 point (eta, eps) = (0.3, -0.2) is the solution at both
-    cutoffs, ``levels_below`` counts the levels below its energy plus
-    EIGEN_GAP_TOL, one half of the solver's check, and ``has_level`` is the
-    whole check; the fig sweep writes into the working directory. ``gn_step``
+    cutoffs, and ``levels_below`` counts the levels below its energy plus
+    EIGEN_GAP_TOL; the fig sweep writes into the working directory. ``gn_step``
     is one least-squares step of the solver, ``series._lstsq_step`` on a
     seeded well-posed 3 x 3 system, which raises no floating-point flag and
     so needs no error state. The Wigner
@@ -82,7 +81,7 @@ def print_layer_times() -> None:
     from ionseries import cli
     from ionseries.model import FockBasis, build_h_transformed
     from ionseries.oracle import (
-        EIGEN_GAP_TOL, has_level, hermitian_eigensystem, levels_below, validate_series_solution)
+        EIGEN_GAP_TOL, hermitian_eigensystem, levels_below, validate_series_solution)
     from ionseries.series import (
         _lstsq_step, case1_closed_form, series_to_fock, terminate_general)
     from ionseries.states import cat_state, wigner_grid
@@ -100,7 +99,6 @@ def print_layer_times() -> None:
         layers[f"series_to_fock_c{cutoff}"] = functools.partial(series_to_fock, sol, basis)
         layers[f"validate_series_solution_c{cutoff}"] = functools.partial(
             validate_series_solution, sol, basis)
-    layers["has_level_c150"] = functools.partial(has_level, sol.params, 150, sol.energy)
     rng = np.random.default_rng(3)
     layers["gn_step"] = functools.partial(
         _lstsq_step, rng.standard_normal((3, 3)), rng.standard_normal((3, 1)))
