@@ -160,21 +160,24 @@ def _normalized(a: np.ndarray) -> np.ndarray:
 
 
 def fidelity(u: StateVector, v: StateVector) -> float:
-    """|<u|v>|^2 after normalizing both states. Bases must match exactly."""
+    """|<u|v>|^2 after normalizing both states, clamped to at most 1 (rounding
+    can put ``fidelity(v, v)`` a few ulp above it). Bases must match exactly."""
     if u.basis != v.basis:
         raise BasisMismatchError(
             f"fidelity between different bases: {u.basis} vs {v.basis}"
         )
-    return float(abs(np.vdot(_normalized(u.amplitudes), _normalized(v.amplitudes))) ** 2)
+    overlap = abs(np.vdot(_normalized(u.amplitudes), _normalized(v.amplitudes))) ** 2
+    return min(float(overlap), 1.0)
 
 
 def parity(v: StateVector) -> float:
-    """Expectation of (-1)^n over the motional index, traced over spin."""
+    """Expectation of (-1)^n over the motional index, traced over spin, clamped
+    to [-1, 1] (the normalized probabilities sum to 1 only within rounding)."""
     probs = np.abs(_normalized(v.amplitudes)) ** 2
     if v.basis.spin_dim == 2:
         probs = probs[0::2] + probs[1::2]
     signs = np.where(np.arange(probs.size) % 2 == 0, 1.0, -1.0)
-    return float(np.dot(signs, probs))
+    return max(-1.0, min(float(np.dot(signs, probs)), 1.0))
 
 
 def _wigner_chunk(W, gamma, start, chunk, tile, amps, j_max, inv_root, root_n, signs):

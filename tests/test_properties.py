@@ -253,8 +253,8 @@ def test_wigner_origin_is_parity(state, step, lobe):
     """On a grid of the given step over the state's support with a margin of 3
     on every side, origin included, as the ``phase_space`` benchmark builds,
     ``wigner_grid`` returns without refusing and W(0, 0) is (2/pi) parity
-    within 1e-12. Parity lies in [-1, 1] and fidelity in [0, 1], each up to
-    1e-12 of rounding (probed: 9e-16 and 1.8e-15)."""
+    within 1e-12. Parity lies in [-1, 1] and fidelity in [0, 1] exactly: both
+    clamp the rounding that put them up to 1.8e-15 outside."""
     basis = FockBasis(CUTOFF, spin_dim=1)
     v, (x0, x1, p0, p1) = motional_state(*state, basis)
     assume(v.norm > 1e-3)
@@ -264,6 +264,6 @@ def test_wigner_origin_is_parity(state, step, lobe):
     i, j = int(np.flatnonzero(ps == 0.0)[0]), int(np.flatnonzero(xs == 0.0)[0])
     P = parity(v)
     assert abs(W[i, j] - (2.0 / math.pi) * P) <= 1e-12, (state, W[i, j], P)
-    assert -1.0 - 1e-12 <= P <= 1.0 + 1e-12
-    assert abs(fidelity(v, v) - 1.0) <= 1e-12
-    assert 0.0 <= fidelity(v, coherent_state(1j * lobe, basis)) <= 1.0 + 1e-12
+    assert -1.0 <= P <= 1.0
+    assert 1.0 - 1e-12 <= fidelity(v, v) <= 1.0
+    assert 0.0 <= fidelity(v, coherent_state(1j * lobe, basis)) <= 1.0

@@ -19,6 +19,11 @@ point with no driven order-3 solution (see
 tests/test_series.py::TestTerminateGeneral::test_no_convergence_reports_trace).
 The formerly refused run is the earlier no-convergence input, whose stalled
 first start has a state residual of 8.6e-12.
+PARKED and MOVED pin the two-pass schedule on ``termination_scan`` pool
+inputs. PARKED's first start is parked after its first pass and then ends
+uncertified, so the second start is returned as in a start-by-start run.
+In each MOVED input an earlier start needs more than ``_FIRST_PASS``
+iterations to certify, and a later one certifies within them and is returned.
 GRID_SHA256 is the sha256 of the ``repr`` of the records of all 192 inputs
 (orders 3..8, both branches, every ETAS value), so one test gates the whole
 grid; the GRID samples show which input moved.
@@ -30,7 +35,8 @@ import numpy as np
 import pytest
 
 from ionseries.errors import NoSolutionFoundError
-from ionseries.oracle import nearest_level
+from ionseries.model import FockBasis
+from ionseries.oracle import nearest_level, validate_series_solution
 from ionseries.series import case1_closed_form, case2_closed_form, terminate_general
 
 ETAS = np.linspace(0.05, 0.8, 16)
@@ -155,6 +161,24 @@ FORMERLY_REFUSED = (
     "0x1.8000000000000p-48", 2, "0x1.3e45aaaaaaaabp-29",
 )
 GRID_SHA256 = "c759bab486633f1067a9693217eb646ec4492a3b1ad21d3254483a5785e96a20"
+PARKED = (
+    "0x1.9999a1610969fp-1", "0x1.e9e47802906bdp+0", "-0x1.daaece75fca1bp-1",
+    "0x1.8000000000000p-48", 2, "0x1.6a20000000000p-34",
+)
+MOVED = {
+    (6, 1, 0.37597792549943804): (
+        "0x1.99999a1dc3ee3p-1", "0x1.75f2f7c1dba8ep+1", "-0x1.d975d5a8dd4fep-1",
+        "0x0.0p+0", 2, "0x1.08a4a885d33bbp-41",
+    ),
+    (8, 1, 0.3433683609199979): (
+        "0x1.99999b654abf6p+0", "0x1.77b9fbbbba560p+0", "-0x1.b51e46d1dbcc6p-1",
+        "0x1.0000000000000p-49", 2, "0x1.93d7a09989eeep-35",
+    ),
+    (8, 1, 0.3441941354216717): (
+        "0x1.9999998a5e5aep+0", "0x1.7769427f9cec2p+0", "-0x1.b4ffb3042bac7p-1",
+        "0x1.0000000000000p-49", 2, "0x1.1800000000000p-34",
+    ),
+}
 
 
 def record(*args, **kwargs):
@@ -199,3 +223,16 @@ def test_no_convergence_trace_bits():
 
 def test_formerly_refused_guess_run_bits():
     assert record(4, 1, 0.3, guess=(9.0, 9.0, 9.0), fix="eps") == FORMERLY_REFUSED
+
+
+def test_parked_first_start_keeps_its_record():
+    """Seed-101 pool input: its first start is parked and then not accepted."""
+    assert record(5, 1, 0.13533480800114184) == PARKED
+
+
+@pytest.mark.parametrize("args", sorted(MOVED), ids=lambda a: "order%d%+d-eta%r" % a)
+def test_start_certified_in_first_pass_wins(args):
+    """Pool inputs of seeds 15, 34 and 9137 whose earlier start certifies only
+    after its first pass; the returned point passes the cutoff-150 oracle."""
+    assert record(*args) == MOVED[args]
+    assert validate_series_solution(terminate_general(*args), FockBasis(150)).passed

@@ -131,6 +131,13 @@ class TestFidelity:
         v = coherent_state(0.4j, motional100)
         assert fidelity(v, v) == pytest.approx(1.0, abs=1e-14)
 
+    def test_self_fidelity_is_clamped_to_one(self):
+        """|<v|v>|^2 of the normalized |0.11> rounds to 1 + 4e-16; fidelity returns 1."""
+        v = coherent_state(0.11, FockBasis(cutoff=60, spin_dim=1))
+        vn = v.amplitudes / np.linalg.norm(v.amplitudes)
+        assert abs(np.vdot(vn, vn)) ** 2 > 1.0
+        assert fidelity(v, v) == 1.0
+
     def test_orthogonal_states(self):
         basis = FockBasis(cutoff=4, spin_dim=1)
         u = StateVector(np.eye(4)[0], basis)
@@ -192,6 +199,14 @@ class TestParity:
         signs = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
         assert parity(u) == float(np.dot(signs, np.abs(un) ** 2))
         assert fidelity(u, w) == float(abs(np.vdot(un, wn)) ** 2)
+
+    def test_even_superposition_is_clamped_to_one(self):
+        """The probabilities of |2>, |28> and |36> sum to 1 + 2e-16; parity returns 1."""
+        amps = np.zeros(60)
+        amps[[2, 28, 36]] = (-0.7037352358069926, -1.2654214710460525, -0.6232744625373522)
+        probs = (amps / np.linalg.norm(amps)) ** 2
+        assert float(np.dot(np.where(np.arange(60) % 2 == 0, 1.0, -1.0), probs)) > 1.0
+        assert parity(StateVector(amps, FockBasis(cutoff=60, spin_dim=1))) == 1.0
 
     def test_traces_over_spin(self):
         basis = FockBasis(cutoff=4, spin_dim=2)

@@ -72,7 +72,10 @@ def print_layer_times() -> None:
     EIGEN_GAP_TOL; the fig sweep writes into the working directory. ``gn_step``
     is one least-squares step of the solver, ``series._lstsq_step`` on a
     seeded well-posed 3 x 3 system, which raises no floating-point flag and
-    so needs no error state. The Wigner
+    so needs no error state. ``terminate_general_5_plus_0.135`` is the
+    seed-101 ``termination_scan`` pool input (5, +1, 0.13533480800114184),
+    whose first start is parked after its first pass; no start of
+    ``terminate_general_3_plus_0.3`` runs that long. The Wigner
     layers time an 81 x 81 grid like ``cat --eta 0.5 --wigner=-2:2:0.05`` and
     one grid of the ``phase_space`` workload.
     """
@@ -103,6 +106,8 @@ def print_layer_times() -> None:
     layers["gn_step"] = functools.partial(
         _lstsq_step, rng.standard_normal((3, 3)), rng.standard_normal((3, 1)))
     layers["terminate_general_3_plus_0.3"] = functools.partial(terminate_general, 3, 1, 0.3)
+    layers["terminate_general_5_plus_0.135"] = functools.partial(
+        terminate_general, 5, 1, 0.13533480800114184)
     layers["fig_omega0.5"] = functools.partial(
         cli.main, ["fig", "--omega", "0.5", "--out", "fig.csv"])
     cat, axis = cat_state(0.5, FockBasis(150, spin_dim=1)), np.linspace(-2.0, 2.0, 81)
