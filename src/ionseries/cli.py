@@ -58,7 +58,7 @@ from .series import (
     eq7_residual,
     terminate_general,
 )
-from .states import cat_state, coherent_state, fidelity, parity, wigner_grid
+from .states import _require_coherent_fits, cat_state, coherent_state, fidelity, parity, wigner_grid
 from .validate import CHECKS
 
 DEFAULT_CUTOFF = 150
@@ -421,6 +421,9 @@ def run_oracle(args: argparse.Namespace) -> int:
         raise CliError("oracle requires --omega and --eta")
     eta = args.eta[0]
     p = ModelParams(rabi=args.omega, lamb_dicke=eta, detuning=args.detuning)
+    # Eigenstates of H_I sit on coherent columns displaced by +/-g: a cutoff
+    # that cannot hold |g> gives levels that move with the cutoff.
+    _require_coherent_fits(p.g, args.cutoff, f"oracle at eta={_fmt(eta)}")
     H = build_h_transformed(p, FockBasis(args.cutoff))
     spec = hermitian_eigensystem(H)
     # The lowest third: the upper levels feel the truncation most. A heuristic,

@@ -10,7 +10,7 @@ from __future__ import annotations
 __all__ = [
     "IonSeriesError", "InvalidBasisError", "BasisMismatchError", "SingularRecurrenceError",
     "ConstraintInfeasibleError", "DegenerateQuadraticError", "PoleError", "TruncationError",
-    "NonHermitianError", "NoSolutionFoundError", "DegenerateCaseError",
+    "NonHermitianError", "NoSolutionFoundError",
 ]
 
 
@@ -29,8 +29,9 @@ class BasisMismatchError(IonSeriesError):
 
 class SingularRecurrenceError(IonSeriesError):
     """The series recurrence is singular (the coupling g = lamb_dicke/2 vanishes,
-    so the 1/g update is undefined). The zero-coupling regime is handled by
-    :func:`ionseries.series.special_case_small_eta`."""
+    so the 1/g update is undefined). At eta = 0 the exact eigenpairs, with levels
+    n +/- R and R = sqrt(eps^2 + rabi^2/4), are
+    ``hermitian_eigensystem(build_h_lab(ModelParams(rabi, 0.0, -2*eps), basis), True)``."""
 
 
 class ConstraintInfeasibleError(IonSeriesError):
@@ -94,8 +95,3 @@ class NoSolutionFoundError(IonSeriesError):
     def __init__(self, message: str, residual_trace=None):
         super().__init__(message)
         self.residual_trace = list(residual_trace or [])
-
-
-class DegenerateCaseError(IonSeriesError):
-    """A limit construction is undefined because two defining parameters vanish
-    simultaneously."""

@@ -61,8 +61,8 @@ class ValidationReport:
     ``passed`` requires all three gates: eigenvalue distance < EIGEN_GAP_TOL, Rayleigh
     residual < 1e-7, and overlap with the (possibly degenerate) eigenspace
     > 0.999. ``inconclusive`` marks runs where the basis was too small to decide
-    (tail mass of the reconstructed vector not negligible); such runs are not
-    failures and carry a ``recommended_cutoff``.
+    (the reconstruction raised TruncationError); such runs are not failures,
+    and their ``residual`` and ``eigen_gap`` are NaN.
     """
 
     residual: float
@@ -70,7 +70,6 @@ class ValidationReport:
     overlap: float
     passed: bool
     inconclusive: bool = False
-    recommended_cutoff: Optional[int] = None
 
     def fields(self) -> dict:
         """The ``residual``, ``eigen_gap`` and ``overlap`` entries of a report document."""
@@ -211,7 +210,7 @@ def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
     except TruncationError:
         nan = float("nan")
         return ValidationReport(residual=nan, eigen_gap=nan, overlap=0.0, passed=False,
-                                inconclusive=True, recommended_cutoff=2 * basis.cutoff)
+                                inconclusive=True)
     v = state.amplitudes
     E = float(sol.energy)
     residual = float(np.linalg.norm(H.entries @ v - E * v))

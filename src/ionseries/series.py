@@ -13,8 +13,7 @@ polynomial maps to a finite superposition of displaced Fock states.
 This module implements those recurrences, the closed forms for termination
 orders 1 and 2, the constraint quadratic behind order 2, the energy identity
 shared by both order-1 branches, a numerical solver for general termination
-order, the zero-coupling special case, and the conversion from Bargmann
-polynomials to Fock-space vectors.
+order, and the conversion from Bargmann polynomials to Fock-space vectors.
 
 Termination structure used throughout: requesting ``b_n = c_n = 0`` for all
 ``n > N`` reduces (by the recurrences' two-step memory) to three residuals
@@ -36,7 +35,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (
     ConstraintInfeasibleError,
-    DegenerateCaseError,
     DegenerateQuadraticError,
     NoSolutionFoundError,
     PoleError,
@@ -44,13 +42,12 @@ from .errors import (
     TruncationError,
 )
 from .model import FockBasis, ModelParams, _displacement_entries, _require_spin
-from .states import StateVector, _within_tail_budget
+from .states import StateVector, _require_coherent_fits, _within_tail_budget
 
 __all__ = [
     "SeriesCoefficients",
     "SeriesSolution",
     "QuadraticCoeffs",
-    "SpecialCaseSolution",
     "recurrence_coefficients",
     "case1_closed_form",
     "energy_identity_case1",
@@ -60,7 +57,6 @@ __all__ = [
     "eq7_residual",
     "terminate_general",
     "state_residual",
-    "special_case_small_eta",
     "series_to_fock",
     "bargmann_to_fock",
 ]
@@ -160,8 +156,8 @@ def recurrence_coefficients(
     """
     if p.g == 0:
         raise SingularRecurrenceError(
-            "lamb_dicke = 0 makes the recurrence singular; "
-            "use special_case_small_eta for the zero-coupling regime"
+            "lamb_dicke = 0 makes the recurrence singular; the exact eta = 0 eigenpairs "
+            "(levels n +/- R) are hermitian_eigensystem(build_h_lab(p, basis), True)"
         )
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -313,14 +309,15 @@ def case1_closed_form(eta: float, eps: float, branch) -> SeriesSolution:
 
     The constraint fixes rabi = 2*sqrt(1 + 2*branch*eps - eta^2); the energy is
     E = 1 + branch*eps with z = branch*g. Raises ConstraintInfeasibleError when
-    the radicand is negative and SingularRecurrenceError at eta = 0 (handled by
-    special_case_small_eta instead).
+    the radicand is negative and SingularRecurrenceError at eta = 0, where the
+    exact eigenpairs come from dense diagonalization of ``build_h_lab`` instead.
     """
     branch = _norm_branch(branch)
     if eta == 0:
         raise SingularRecurrenceError(
-            "eta = 0 is singular for the series recurrence; "
-            "use special_case_small_eta"
+            "eta = 0 is singular for the series recurrence; the exact eta = 0 eigenpairs "
+            "(levels n +/- R) are hermitian_eigensystem("
+            "build_h_lab(ModelParams(rabi, 0.0, -2*eps), basis), True)"
         )
     if eta < 0:
         raise ValueError("eta must be positive")
@@ -816,69 +813,6 @@ def terminate_general(
 
 
 # ---------------------------------------------------------------------------
-# zero-coupling special case
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SpecialCaseSolution:
-    """One of the two zero-coupling (eta -> 0) solutions.
-
-    ``b0, b1, c0, c1`` are the linear-polynomial coefficients of the two
-    components; ``psi_os`` is the corresponding lab-frame two-component state
-    supported on the lowest two Fock levels.
-    """
-
-    energy: float
-    b0: float
-    b1: float
-    c0: float
-    c1: float
-    psi_os: StateVector
-
-
-def special_case_small_eta(rabi: float, eps: float) -> Tuple[SpecialCaseSolution, SpecialCaseSolution]:
-    """Both zero-coupling solutions at given (rabi, eps).
-
-    Energies are E = 1 +/- sqrt(eps^2 + rabi^2/4) with z = 0. Coefficient
-    convention: b0 = 1, b1 = 0, and c0/b0 = c1/b1 = (E - rabi/2 - 1)/eps (the
-    c-coefficients inherit the ratio; with b1 = 0 this gives c1 = 0). At
-    eps = 0 the ratio is replaced by its limit: (b0, c0) = (1, 0) on the plus
-    solution and (0, 1) on the minus one. The lab-frame state places
-    (b0 - c0)/sqrt(2) on the upper level and (b0 + c0)/sqrt(2) on the lower
-    level of Fock index 0, and -i(b1 + c1)/sqrt(2) on both levels of index 1,
-    then normalizes.
-    """
-    if rabi < 0:
-        raise ValueError("rabi must be >= 0")
-    R = math.sqrt(eps * eps + rabi * rabi / 4.0)
-    if R == 0:
-        raise DegenerateCaseError(
-            "rabi = 0 and eps = 0 leave the zero-coupling doublet undefined"
-        )
-    basis = FockBasis(cutoff=2, spin_dim=2)
-    out = []
-    for sign in (1, -1):
-        energy = 1.0 + sign * R
-        if eps != 0:
-            ratio = (sign * R - rabi / 2.0) / eps
-            b0, c0 = 1.0, ratio
-        else:
-            b0, c0 = (1.0, 0.0) if sign == 1 else (0.0, 1.0)
-        b1 = c1 = 0.0
-        amps = np.zeros(4, dtype=complex)
-        amps[1] = (b0 - c0) / math.sqrt(2.0)  # upper level, Fock 0
-        amps[0] = (b0 + c0) / math.sqrt(2.0)  # lower level, Fock 0
-        amps[3] = -1j * (b1 + c1) / math.sqrt(2.0)  # upper level, Fock 1
-        amps[2] = -1j * (b1 + c1) / math.sqrt(2.0)  # lower level, Fock 1
-        amps = amps / np.linalg.norm(amps)
-        psi_os = StateVector(amplitudes=amps, basis=basis)
-        out.append(
-            SpecialCaseSolution(energy=energy, b0=b0, b1=b1, c0=c0, c1=c1, psi_os=psi_os)
-        )
-    return out[0], out[1]
-
-
-# ---------------------------------------------------------------------------
 # Bargmann polynomial -> Fock vector
 # ---------------------------------------------------------------------------
 
@@ -925,8 +859,10 @@ def series_to_fock(sol: SeriesSolution, basis: FockBasis) -> StateVector:
     Maps each component's Bargmann polynomial through the Taylor-shift /
     displaced-number-state construction and interleaves upper (b) and lower (c)
     components; both share one displacement D(-z). The basis must have
-    spin_dim = 2 and comfortably contain the displaced support; a tail-mass
-    violation raises TruncationError.
+    spin_dim = 2 and comfortably contain the displaced support: TruncationError
+    when the coherent column |-z> has more than the tail budget on levels
+    cutoff - order - 10 and up, checked before the displacement is built, or
+    when the built vector's own tail mass exceeds it.
     """
     _require_spin(basis, 2, "series_to_fock")
     if basis.cutoff < sol.order + 10:
@@ -935,9 +871,11 @@ def series_to_fock(sol: SeriesSolution, basis: FockBasis) -> StateVector:
         )
     n_keep = sol.order + 1
     z = sol.coeffs.z
+    what = f"order-{sol.order} series solution"
+    _require_coherent_fits(-z, basis.cutoff - sol.order - 10, what)
     D = _displacement_entries(-z, basis.cutoff)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[1::2] = D @ _bargmann_seed(sol.coeffs.b[:n_keep], z, basis.cutoff)
     amps[0::2] = D @ _bargmann_seed(sol.coeffs.c[:n_keep], z, basis.cutoff)
     state = StateVector(amplitudes=amps, basis=basis)
-    return _within_tail_budget(state, f"order-{sol.order} series solution").normalize()
+    return _within_tail_budget(state, what).normalize()

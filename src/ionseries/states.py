@@ -105,6 +105,30 @@ def _coherent_amplitudes(gamma: complex, cutoff: int) -> np.ndarray:
     return a
 
 
+def _require_coherent_fits(gamma: complex, level: int, what: str) -> None:
+    """TruncationError when the exact coherent state |gamma> has more than
+    TAIL_MASS_TOL of its mass on Fock levels ``level`` and up.
+
+    Checked before a truncated displacement, whose result is unitary on the
+    basis and so shows no tail mass of its own when gamma outgrows the cutoff.
+    The Poisson weights e^{-lam} lam^n / n!, lam = |gamma|^2, are summed from
+    their logarithms, so none is lost where e^{-lam} is subnormal or 0.
+    """
+    lam = abs(gamma) ** 2
+    n = np.arange(level)
+    if lam == 0:
+        head = float(n.size > 0)
+    else:
+        log_factorial = np.cumsum(np.log(np.maximum(n, 1)))
+        head = float(np.exp(n * math.log(lam) - lam - log_factorial).sum())
+    tail = 1.0 - head
+    if tail > TAIL_MASS_TOL:
+        raise TruncationError(
+            f"{what}: the coherent state |gamma|={abs(gamma):.3g} has mass {tail:.3e} "
+            f"on Fock levels {level} and up; increase the cutoff"
+        )
+
+
 def coherent_state(gamma: complex, basis: FockBasis) -> StateVector:
     """The coherent state |gamma> in a truncated Fock basis.
 

@@ -198,6 +198,19 @@ class TestSolve:
         assert code == 3 and not out.exists()
         assert captured.out == "" and "residual trace" in captured.err
 
+    def test_displacement_beyond_the_cutoff_is_inconclusive(self, tmp_path, capsys):
+        """At eta = 50 each solution's coherent column has mean level 625, which
+        cutoff 150 cannot hold: no verdict, rather than a definite failure."""
+        out = tmp_path / "s50.json"
+        assert main(["solve", "--order", "2", "--eta", "50", "--omega", "1",
+                     "--out", str(out)]) == 0
+        sols = json.loads(read(out))["solutions"]
+        assert len(sols) == 4
+        for sol in sols:
+            assert sol["oracle"]["inconclusive"] is True and sol["oracle"]["passed"] is False
+            assert math.isnan(sol["oracle"]["eigen_gap"])
+        assert capsys.readouterr().out.count("oracle_gap=nan passed=False") == 4
+
     def test_infeasible_is_usage_error(self, tmp_path):
         code = main(
             ["solve", "--order", "1", "--eta", "0.5", "--detuning", "1.0",
@@ -284,6 +297,17 @@ class TestOracleCommand:
             ModelParams(rabi=0.7, lamb_dicke=0.4, detuning=0.2), FockBasis(61)).entries)
         listed = json.loads(read(out))["interior_eigenvalues"]
         assert listed == [float(f"{x:.12g}") for x in levels[:40]]
+
+    @pytest.mark.parametrize("eta, code", [(19, 0), (20, 2), (100, 2)])
+    def test_refuses_a_coupling_the_cutoff_cannot_hold(self, tmp_path, capsys, eta, code):
+        """At cutoff 150 the coherent column |eta/2> puts more than 1e-8 of its
+        mass on levels 150 and up from eta = 20: exit 2 with no listing."""
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--omega", "1", "--eta", str(eta), "--detuning", "0",
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "coherent state" in capsys.readouterr().err
 
 
 class TestConfigAndEnvironment:

@@ -708,7 +708,7 @@ class TestMirroredWigner:
 def _report_bits(report):
     """A ValidationReport with its floats as ``float.hex``, for byte comparison."""
     return (report.residual.hex(), report.eigen_gap.hex(), report.overlap.hex(), report.passed,
-            report.inconclusive, report.recommended_cutoff)
+            report.inconclusive)
 
 
 def _count_threads(monkeypatch):
@@ -755,7 +755,7 @@ class TestOverlappedValidation:
         _use_cpus(monkeypatch, cpus)
         before = threading.active_count()
         report = oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(8))
-        assert report.inconclusive and report.recommended_cutoff == 16
+        assert report.inconclusive
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -768,7 +768,7 @@ class TestOverlappedValidation:
         _use_cpus(monkeypatch, cpus)
         before = threading.active_count()
         report = oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
-        assert report.inconclusive and report.recommended_cutoff == 120
+        assert report.inconclusive
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [1, 2])

@@ -1,6 +1,6 @@
 """Source hygiene: every name a library module imports is used in that module,
-every name in a module's ``__all__`` is defined there, and the package exports
-exactly the module lists.
+every name in a module's ``__all__`` is defined there, the package exports
+exactly the module lists, and every error type is raised somewhere.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library. ``__init__.py`` is skipped because its imports are
@@ -118,6 +118,35 @@ def test_dead_code_guard_flags_an_unread_name():
 def test_no_dead_top_level_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert dead_names(sources) == []
+
+
+def raised_names(source: str):
+    """Names of the exceptions a module raises, as ``raise X`` or ``raise X(...)``,
+    by bare name or attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_raise_guard_finds_names_and_attributes():
+    source = ("def f(x):\n    if x:\n        raise ValueError('x')\n"
+              "    try:\n        pass\n    except KeyError:\n        raise\n"
+              "    raise errors.PoleError\n")
+    assert raised_names(source) == {"ValueError", "PoleError"}
+
+
+def test_every_error_type_is_raised():
+    """An error type that nothing raises is dead API that callers still catch."""
+    from ionseries import errors
+
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")))
+    assert sorted(set(errors.__all__) - raised) == []
 
 
 #: Modules that start threads, and the attributes that read the CPU allowance.

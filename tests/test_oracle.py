@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ionseries import model
-from ionseries.errors import InvalidBasisError, NonHermitianError
+from ionseries.errors import InvalidBasisError, NonHermitianError, TruncationError
 from ionseries.model import FockBasis, ModelParams, OperatorMatrix, build_h_transformed
 from ionseries.oracle import (
+    DEGENERACY_TOL,
     Spectrum,
     hermitian_eigensystem,
     levels_below,
@@ -18,7 +19,7 @@ from ionseries.oracle import (
     nearest_level,
     validate_series_solution,
 )
-from ionseries.series import case1_closed_form
+from ionseries.series import case1_closed_form, case2_closed_form, series_to_fock
 
 
 P_ANCHOR = ModelParams(rabi=1.9595917942265424, lamb_dicke=0.2, detuning=0.0)
@@ -272,11 +273,47 @@ class TestValidateSeriesSolution:
         report = validate_series_solution(sol, FockBasis(8))
         assert report.inconclusive
         assert not report.passed
-        assert report.recommended_cutoff == 16
 
     def test_tail_heavy_reconstruction_is_inconclusive(self):
         # a wider displaced solution that fits degree-wise but leaves tail mass
         sol = case1_closed_form(1.2, 0.4, 1)
         report = validate_series_solution(sol, FockBasis(12))
         assert report.inconclusive
-        assert report.recommended_cutoff == 24
+
+    def test_displacement_beyond_the_cutoff_is_inconclusive(self):
+        # At eta = 50 the coherent column |-z> has mean level g^2 = 625, far
+        # beyond cutoff 150: the truncated displacement is unitary on the basis,
+        # so only the exact column shows what the cutoff cuts off.
+        sols = case2_closed_form(1.0, 50.0)
+        assert len(sols) == 4
+        for sol in sols:
+            with pytest.raises(TruncationError, match="coherent state"):
+                series_to_fock(sol, FockBasis(150))
+            report = validate_series_solution(sol, FockBasis(150))
+            assert report.inconclusive and not report.passed
+            assert np.isnan(report.eigen_gap) and np.isnan(report.residual)
+
+
+class TestDegenerateCrossing:
+    """At eta = 0.8 and eps = 1/2 the order-1 (+) and order-2 (-) termination
+    points meet at one rabi, where H_I has a double level at E = 1.5."""
+
+    ETA, EPS, ENERGY = 0.8, 0.5, 1.5
+
+    def partners(self):
+        first = case1_closed_form(self.ETA, self.EPS, +1)
+        rabi = first.params.rabi
+        assert rabi == pytest.approx(2.33238075793812, abs=1e-13)
+        second = [s for s in case2_closed_form(rabi, self.ETA, branches=(-1,))
+                  if abs(s.params.eps - self.EPS) < 1e-9]
+        assert len(second) == 1
+        return first, second[0]
+
+    def test_both_partners_pass_on_the_double_level(self):
+        for sol in self.partners():
+            assert sol.energy == pytest.approx(self.ENERGY, abs=1e-12)
+            w = np.linalg.eigvalsh(build_h_transformed(sol.params, FockBasis(150)).entries)
+            assert np.count_nonzero(np.abs(w - self.ENERGY) < DEGENERACY_TOL) == 2
+            report = validate_series_solution(sol, FockBasis(150))
+            assert report.passed and not report.inconclusive
+            assert report.overlap > 0.999  # against the two-column eigenspace

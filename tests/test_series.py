@@ -11,14 +11,13 @@ from ionseries import oracle, series
 from ionseries.errors import (
     BasisMismatchError,
     ConstraintInfeasibleError,
-    DegenerateCaseError,
     DegenerateQuadraticError,
     NoSolutionFoundError,
     PoleError,
     SingularRecurrenceError,
     TruncationError,
 )
-from ionseries.model import FockBasis, ModelParams
+from ionseries.model import FockBasis, ModelParams, build_h_lab
 from ionseries.oracle import nearest_level, validate_series_solution
 from ionseries.series import (
     QuadraticCoeffs,
@@ -34,7 +33,6 @@ from ionseries.series import (
     eq7_residual,
     recurrence_coefficients,
     series_to_fock,
-    special_case_small_eta,
     state_residual,
     terminate_general,
 )
@@ -564,49 +562,24 @@ class TestTerminateGeneral:
 
 
 # ---------------------------------------------------------------------------
-# zero-coupling special case
+# zero coupling
 # ---------------------------------------------------------------------------
 
-class TestSpecialCase:
-    def test_anchor_energies_and_ratios(self):
-        hi, lo = special_case_small_eta(0.5, 0.3)
-        R = math.sqrt(0.09 + 0.0625)
-        assert hi.energy == pytest.approx(1.0 + R, rel=1e-15)
-        assert hi.energy == pytest.approx(1.3905124837953327, rel=1e-15)
-        assert lo.energy == pytest.approx(0.6094875162046673, rel=1e-15)
-        assert hi.c0 == pytest.approx(0.4683749459844424, rel=1e-13)
-        assert lo.c0 == pytest.approx(-2.135041612651109, rel=1e-13)
-        assert hi.b0 == 1.0 and hi.b1 == 0.0 and hi.c1 == 0.0
-
-    def test_lab_frame_state_structure(self):
-        hi, _ = special_case_small_eta(0.5, 0.3)
-        amps = hi.psi_os.amplitudes
-        assert hi.psi_os.basis == FockBasis(cutoff=2, spin_dim=2)
-        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
-        assert amps[0].real == pytest.approx(0.9402715776831119, rel=1e-12)
-        assert amps[1].real == pytest.approx(0.34042526375301835, rel=1e-12)
-        assert abs(amps[2]) == 0.0 and abs(amps[3]) == 0.0
-
-    def test_zero_detuning_limits(self):
-        hi, lo = special_case_small_eta(0.5, 0.0)
-        assert (hi.b0, hi.c0) == (1.0, 0.0)
-        assert (lo.b0, lo.c0) == (0.0, 1.0)
-        # symmetric / antisymmetric internal superpositions at Fock 0
-        assert hi.psi_os.amplitudes[0] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-        assert hi.psi_os.amplitudes[1] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-        assert lo.psi_os.amplitudes[1] == pytest.approx(-1 / math.sqrt(2), rel=1e-15)
-
-    def test_large_detuning_weak_drive_pins_internal_state(self):
-        hi, lo = special_case_small_eta(1e-4, 5.0)
-        # plus solution -> lower internal level, minus -> upper, up to 1e-4 leakage
-        assert abs(hi.psi_os.amplitudes[1]) < 1e-4
-        assert abs(lo.psi_os.amplitudes[0]) < 1e-4
-
-    def test_degenerate_parameters_rejected(self):
-        with pytest.raises(DegenerateCaseError):
-            special_case_small_eta(0.0, 0.0)
-        with pytest.raises(ValueError):
-            special_case_small_eta(-0.5, 0.1)
+class TestZeroCoupling:
+    @pytest.mark.parametrize("rabi, eps", [(0.5, 0.3), (0.5, 0.0), (1.2, -0.4)])
+    def test_named_route_gives_levels_n_plus_minus_r(self, rabi, eps):
+        """The eta = 0 refusal names build_h_lab, whose levels are exactly n +/- R."""
+        with pytest.raises(SingularRecurrenceError, match="build_h_lab"):
+            recurrence_coefficients(1.0, 0.0, ModelParams(rabi, 0.0, -2 * eps), 4, 0.0)
+        with pytest.raises(SingularRecurrenceError, match="build_h_lab"):
+            case1_closed_form(0.0, eps, 1)
+        basis = FockBasis(cutoff=12, spin_dim=2)
+        spec = oracle.hermitian_eigensystem(
+            build_h_lab(ModelParams(rabi, 0.0, -2 * eps), basis), True)
+        R = math.sqrt(eps * eps + rabi * rabi / 4.0)
+        n = np.arange(12.0)
+        np.testing.assert_allclose(spec.eigenvalues, np.sort(np.concatenate([n - R, n + R])),
+                                   rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +619,9 @@ class TestSeriesToFock:
         sol = case1_closed_form(0.2, 0.0, 1)
         with pytest.raises(TruncationError):
             series_to_fock(sol, FockBasis(cutoff=10, spin_dim=2))
+        # order + 10 levels: the coherent column must fit below level 0
+        with pytest.raises(TruncationError, match="levels 0 and up"):
+            series_to_fock(sol, FockBasis(cutoff=11, spin_dim=2))
 
     def test_output_is_normalized_with_small_tail(self):
         sol = case1_closed_form(0.2, 0.0, 1)

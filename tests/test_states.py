@@ -78,6 +78,20 @@ class TestCoherent:
         with pytest.raises(TruncationError, match="underflows to 0 in float64"):
             coherent_state(38.7j, basis)
 
+    def test_exact_column_gate(self):
+        """|2i> has Poisson mass 1.02e-8 on levels 20 and up and 1.9e-9 on 21 and up.
+        |40>, whose weight e^{-1600} underflows, has 4.97e-7 on 1800 and up and
+        5.7e-10 on 1850 and up. Even the vacuum has all its mass on 0 and up."""
+        with pytest.raises(TruncationError, match="levels 20 and up"):
+            states._require_coherent_fits(2j, 20, "probe")
+        states._require_coherent_fits(2j, 21, "probe")
+        with pytest.raises(TruncationError, match="mass 4.966e-07"):
+            states._require_coherent_fits(40.0, 1800, "probe")
+        states._require_coherent_fits(40.0, 1850, "probe")
+        with pytest.raises(TruncationError, match="mass 1.000e"):
+            states._require_coherent_fits(0.0, 0, "probe")
+        states._require_coherent_fits(0.0, 1, "probe")
+
 
 class TestCat:
     def test_frozen_amplitudes(self, motional100):
