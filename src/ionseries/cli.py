@@ -544,7 +544,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args, _ = parser.parse_known_args(
                 [argv[0], *_config_flags(args.config), *argv[1:]]
             )
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return code
     except SystemExit as exc:  # argparse has printed the usage error; return its code
         return exc.code
     except NoSolutionFoundError as exc:  # only terminate_general, under solve, raises it
@@ -552,6 +554,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: solve: no convergence ({exc}); residual trace: [{trace}]",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except BrokenPipeError as exc:  # the reader closed stdout
+        # Point stdout at devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OverflowError as exc:  # Python float arithmetic raises where numpy gives inf
         print(f"error: an input is too large: float overflow {exc}", file=sys.stderr)
         return EXIT_USAGE

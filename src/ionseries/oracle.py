@@ -196,7 +196,7 @@ def validate_series_solution(sol, basis: FockBasis) -> ValidationReport:
     inconclusive report instead of a failure.
 
     The reconstruction (its ``expm``) and the ``eigh`` are ``states._run_pair``'s
-    two jobs, so they overlap when two CPUs are allowed, unless the ``expm``
+    two jobs, so they overlap on two threads, unless the ``expm``
     scratch exceeds ``_OVERLAP_BYTES`` (cutoff 150 fits, 400 does not): then
     they run in turn, the reconstruction first. The report is byte-identical
     either way. The budget bounds memory: overlapping at cutoff 400 too raised

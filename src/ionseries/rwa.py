@@ -128,8 +128,11 @@ def fig_curves(omega: float):
 
     ``f(eta)`` is the curve's energy, or None where it is infeasible (no real
     order-2 root) or not finite (an overflow at huge eta). The same callables
-    are sampled for the rows and bisected for the crossings.
+    are sampled for the rows and bisected for the crossings. A negative
+    ``omega`` raises ValueError, as ModelParams does.
     """
+    if omega < 0:
+        raise ValueError(f"rabi must be >= 0, got {omega}")
     scheme = nearest_scheme(omega)
     src_rwa = "rwa_eq10" if scheme.scheme == "M" else "rwa_eq12"
     curves = {}

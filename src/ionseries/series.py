@@ -623,11 +623,8 @@ def terminate_general(
     parked ones in seed order, each to the end it would have reached in one
     go. The first start whose end point is certified, and passes the checks
     below, is returned. A start that wanders to a nonzero local minimum of
-    ||F|| thus no longer holds up a later one that certifies in a few
-    iterations: over the ``termination_scan`` pools of seeds 0-299 this
-    changed the returned point of 41 of 115,200 inputs (each another
-    certified point), and on a 2-vCPU Intel Xeon VM it cut that workload's
-    ``op_tail_ms`` from 21.0 to 6.2 ms (medians of 10 alternating pairs).
+    ||F|| thus does not hold up a later one that certifies in a few
+    iterations.
 
     Pass ``fix="eps"`` or ``fix="rabi"`` to pin that parameter at its value
     in ``guess``, in every start, and recover the isolated point the closed

@@ -10,7 +10,6 @@ returning a clipped state.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -265,25 +264,16 @@ def _wigner_chunk(W, gamma, start, chunk, tile, amps, j_max, inv_root, root_n, s
         np.multiply(2.0 / math.pi, w, out=w)
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one (Linux), else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_pair(first, second, serial=False):
-    """``[first(), second()]``, with ``second`` on one more thread when it may.
+    """``[first(), second()]``, with ``second`` on a helper thread unless ``serial``.
 
-    This is the library's one way to start a thread. ``second`` runs on a
-    thread of its own when _cpu_count() >= 2 and not ``serial``; otherwise it
-    runs after ``first`` on the caller's thread, and a failed ``first`` skips
-    it. The thread is joined before this returns or raises. Of the two jobs'
-    failures, an interrupt or exit (an exception that is not an
-    ``Exception``) is raised first, then ``first``'s, then ``second``'s.
+    This is the library's one way to start a thread. With ``serial``,
+    ``second`` runs after ``first`` on the caller's thread, and a failed
+    ``first`` skips it. The thread is joined before this returns or raises.
+    Of the two jobs' failures, an interrupt or exit (an exception that is not
+    an ``Exception``) is raised first, then ``first``'s, then ``second``'s.
     """
-    if serial or _cpu_count() < 2:
+    if serial:
         return [first(), second()]
     outcomes = [None, None]  # (result, exception) of first and of second
 

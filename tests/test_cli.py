@@ -2,7 +2,6 @@
 flags per subcommand and the argument types."""
 
 import argparse
-import hashlib
 import json
 import math
 import subprocess
@@ -462,6 +461,16 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["fig"], ["solve", "--order", "2", "--eta", "0.1"],
+                                      ["oracle", "--eta", "0.1"]], ids=["fig", "solve", "oracle"])
+    def test_negative_omega_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--omega=-0.5", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: rabi must be >= 0, got -0.5"]
+
 
     @pytest.mark.parametrize("argv, unread", [
         (["--order", "1", "--eta", "0.2", "--guess", "9,9,9", "--fix", "eps", "--omega", "7"],
@@ -754,20 +763,19 @@ class TestArgumentTypes:
         assert isinstance(value, float) and math.isfinite(value)
 
 
-@pytest.mark.parametrize("cid", ["solve_order3", "validate_all", "cat_wigner"])
-def test_golden_bytes_without_an_affinity_call(tmp_path, cid):
-    """Where os.sched_getaffinity is missing (macOS, Windows), the thread runner
-    counts os.cpu_count() instead, and the commands write the golden bytes."""
-    from test_golden import CLI_COMMANDS, GOLDEN, _env
+def test_closed_stdout_exits_2_with_one_error_line(tmp_path):
+    """A reader that closes the pipe early, as ``ionseries fig ... | head -1``
+    does, gets exit 2 and one ``error:`` line: no traceback, no exit 1 (the
+    code of a failed suite) and no "Exception ignored" from the flush at exit."""
+    from test_golden import _env
 
-    _, argv, code, artefacts = next(c for c in CLI_COMMANDS if c[0] == cid)
-    script = ("import os, sys\n"
-              "os.__dict__.pop('sched_getaffinity', None)\n"
-              "from ionseries.cli import main\n"
-              f"sys.exit(main({argv!r}))\n")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == code, proc.stderr
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in artefacts}
-    assert digests == GOLDEN[cid]
+    # about 650 kB of CSV, more than the pipe holds, so the writer meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "ionseries.cli", "fig", "--omega", "0.5",
+                             "--eta=0:1:0.001"], cwd=tmp_path, env=_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "eta,energy,source,branch,n\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write stdout:"), err

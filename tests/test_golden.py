@@ -59,7 +59,8 @@ def test_artefacts_match_golden(tmp_path, cid, argv, code, artefacts):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="the platform cannot pin a process to one CPU")
 def test_cat_wigner_on_one_cpu_matches_golden(tmp_path):
-    """The single-worker Wigner path writes the same bytes as the threaded one."""
+    """On one CPU the two Wigner threads interleave differently, and the bytes
+    still hold."""
     command = next(c for c in CLI_COMMANDS if c[0] == "cat_wigner")
     cpu = min(os.sched_getaffinity(0))
     # sched_setaffinity runs in the child between fork and exec, so only it is pinned

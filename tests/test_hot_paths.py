@@ -509,7 +509,7 @@ class TestColumnMajorWigner:
         assert single.tobytes() == row_major_wigner(vs[0], np.array([0.0]), np.array([0.0])).tobytes()
 
     @pytest.mark.parametrize("cutoff", [40, 150, 400])
-    def test_tiles_match_row_major_bytes(self, cutoff, monkeypatch):
+    def test_tiles_match_row_major_bytes(self, cutoff):
         basis = FockBasis(cutoff=cutoff, spin_dim=1)
         tile = max(1, states._TILE_BYTES // (16 * cutoff))
         rng = np.random.default_rng(cutoff)
@@ -532,14 +532,12 @@ class TestColumnMajorWigner:
         # the most a tile may take, and 5 full ones, the last padded by one point
         grids += [(np.linspace(0.25, 3.0, n), np.array([-0.5]))
                   for n in (tile + 1, 2 * tile + 1, 5 * tile - 1)]
-        for cpus in (1, 2):
-            _use_cpus(monkeypatch, cpus)
-            for v in vs:
-                for xs, ps in grids:
-                    W = wigner_grid(v, xs, ps)
-                    assert W.shape == (ps.size, xs.size)
-                    assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes(), (
-                        cutoff, cpus, ps.size, xs.size)
+        for v in vs:
+            for xs, ps in grids:
+                W = wigner_grid(v, xs, ps)
+                assert W.shape == (ps.size, xs.size)
+                assert W.tobytes() == row_major_wigner(v, xs, ps).tobytes(), (
+                    cutoff, ps.size, xs.size)
 
     @pytest.mark.parametrize("cutoff", [40, 150])
     def test_chunks_match_row_major_bytes(self, cutoff, monkeypatch):
@@ -572,26 +570,22 @@ class TestColumnMajorWigner:
                 reference = row_major_wigner(v, xs, ps).tobytes()
                 columns = np.unique(np.abs(xs)).size if mirrored else n_x
                 chunks = -(-n_p * columns // chunk)
-                for cpus in (1, 2):
-                    _use_cpus(monkeypatch, cpus)
-                    threads.clear()
-                    started.clear()
-                    assert wigner_grid(v, xs, ps).tobytes() == reference, (n_p, n_x, cpus)
-                    assert len(threads) == min(cpus, chunks)
-                    assert len(started) == min(cpus, chunks) - 1  # none for one chunk
+                threads.clear()
+                started.clear()
+                assert wigner_grid(v, xs, ps).tobytes() == reference, (n_p, n_x)
+                assert len(threads) == min(2, chunks)
+                assert len(started) == min(2, chunks) - 1  # none for one chunk
 
-    def test_peak_memory_is_tile_bound(self, monkeypatch):
+    def test_peak_memory_is_tile_bound(self):
         v = cat_state(1.5, FockBasis(cutoff=150, spin_dim=1))
         axis = np.linspace(-5.0, 5.0, 101)
-        for cpus in (1, 2):
-            _use_cpus(monkeypatch, cpus)
-            tracemalloc.start()
-            try:
-                wigner_grid(v, axis, axis)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8e6, (cpus, peak)
+        tracemalloc.start()
+        try:
+            wigner_grid(v, axis, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
         v = cat_state(1.2, FockBasis(cutoff=60, spin_dim=1))
@@ -604,10 +598,8 @@ class TestColumnMajorWigner:
             original(W, gamma, start, chunk, *args)
 
         monkeypatch.setattr(states, "_wigner_chunk", failing_second_chunk)
-        for cpus in (1, 2):
-            _use_cpus(monkeypatch, cpus)
-            with pytest.raises(RuntimeError, match="chunk failed"):
-                wigner_grid(v, axis, axis)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            wigner_grid(v, axis, axis)
 
 
 def _count_kernel_points(monkeypatch):
@@ -732,10 +724,11 @@ class TestOverlappedValidation:
         sol = case1_closed_form(0.3, -0.2, 1) if order == 1 else case2_closed_form(0.5, 0.1)[0]
         basis = FockBasis(150)
         started = _count_threads(monkeypatch)
-        _use_cpus(monkeypatch, 1)
+        budget = oracle._OVERLAP_BYTES
+        monkeypatch.setattr(oracle, "_OVERLAP_BYTES", 0)  # no expm scratch fits: in turn
         in_turn = _report_bits(oracle.validate_series_solution(sol, basis))
         assert not started
-        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(oracle, "_OVERLAP_BYTES", budget)
         before = threading.active_count()
         threaded = _report_bits(oracle.validate_series_solution(sol, basis))
         interval = sys.getswitchinterval()
@@ -750,55 +743,44 @@ class TestOverlappedValidation:
         assert in_turn[3] and threaded == in_turn
         assert switching == [in_turn] * 3
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_too_small_basis_stays_inconclusive(self, monkeypatch, cpus):
-        _use_cpus(monkeypatch, cpus)
+    def test_too_small_basis_stays_inconclusive(self):
         before = threading.active_count()
         report = oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(8))
         assert report.inconclusive
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_truncation_wins_over_eigensolve_error(self, monkeypatch, cpus):
+    def test_truncation_wins_over_eigensolve_error(self, monkeypatch):
         def truncated(sol, basis):
             raise TruncationError("tail mass")
 
         monkeypatch.setattr(oracle, "series_to_fock", truncated)
         monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
-        _use_cpus(monkeypatch, cpus)
         before = threading.active_count()
         report = oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
         assert report.inconclusive
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_eigensolve_error_reaches_caller(self, monkeypatch, cpus):
+    def test_eigensolve_error_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
-        _use_cpus(monkeypatch, cpus)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="eigensolve failed"):
             oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_displacement_error_wins_over_eigensolve_error(self, monkeypatch, cpus):
+    def test_displacement_error_wins_over_eigensolve_error(self, monkeypatch):
         def failing(sol, basis):
             raise ValueError("displacement failed")
 
         monkeypatch.setattr(oracle, "series_to_fock", failing)
         monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
-        _use_cpus(monkeypatch, cpus)
         before = threading.active_count()
         with pytest.raises(ValueError, match="displacement failed"):
             oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cutoff, cpus, threads", [
-        (150, 2, 1), (241, 2, 1), (242, 2, 0), (400, 2, 0), (400, 8, 0), (150, 1, 0)])
-    def test_thread_only_below_the_byte_budget_and_with_two_cpus(self, monkeypatch, cutoff,
-                                                                  cpus, threads):
+    @pytest.mark.parametrize("cutoff, threads", [(150, 1), (241, 1), (242, 0), (400, 0)])
+    def test_thread_only_below_the_byte_budget(self, monkeypatch, cutoff, threads):
         started = _count_threads(monkeypatch)
-        _use_cpus(monkeypatch, cpus)
         report = oracle.validate_series_solution(case1_closed_form(0.3, -0.2, 1), FockBasis(cutoff))
         assert report.passed
         assert len(started) == threads
@@ -806,11 +788,6 @@ class TestOverlappedValidation:
 
 def _failing_eigensolve(H, want_vectors=False):
     raise RuntimeError("eigensolve failed")
-
-
-def _use_cpus(monkeypatch, count):
-    """Make the library's runner see ``count`` CPUs without changing the real affinity."""
-    monkeypatch.setattr(states, "_cpu_count", lambda: count)
 
 
 def _python_output(code):

@@ -155,16 +155,24 @@ CPU_READS = {"sched_getaffinity", "cpu_count", "process_cpu_count"}
 
 
 def thread_sites(source: str):
-    """Sorted line numbers where a module imports a thread-starting module or
-    reads the CPU allowance."""
+    """Sorted line numbers where a module imports a thread-starting module."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             if any(alias.name.split(".")[0] in THREAD_MODULES for alias in node.names):
                 lines.add(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if (node.module.split(".")[0] in THREAD_MODULES
-                    or any(alias.name in CPU_READS for alias in node.names)):
+            if node.module.split(".")[0] in THREAD_MODULES:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def cpu_reads(source: str):
+    """Sorted line numbers where a module reads the CPU allowance."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name in CPU_READS for alias in node.names):
                 lines.add(node.lineno)
         elif isinstance(node, ast.Attribute) and node.attr in CPU_READS:
             lines.add(node.lineno)
@@ -174,14 +182,21 @@ def thread_sites(source: str):
 def test_thread_guard_flags_imports_and_cpu_reads():
     source = ("import os, threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
               "from os import cpu_count\nn = len(os.sched_getaffinity(0))\nm = os.getpid()\n")
-    assert thread_sites(source) == [1, 2, 3, 4]
+    assert thread_sites(source) == [1, 2]
+    assert cpu_reads(source) == [3, 4]
 
 
 def test_only_states_starts_threads():
-    """states._run_pair is the one thread runner and states._cpu_count the one
-    reader of the CPU allowance."""
+    """states._run_pair is the one thread runner."""
     sites = {p.name: thread_sites(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert [name for name, lines in sorted(sites.items()) if lines] == ["states.py"]
+
+
+def test_no_module_reads_the_cpu_allowance():
+    """No path depends on the CPU count: states._run_pair starts its thread
+    whatever the allowance, and only the work selects the serial path."""
+    reads = {p.name: cpu_reads(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 #: threading's synchronisation primitives: workers that share nothing need none.

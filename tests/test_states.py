@@ -292,12 +292,10 @@ class TestRunWorkers:
     """states._run_pair, the library's one way to start a thread: its two jobs
     run on the caller's thread and on at most one more."""
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("count", [1, 2, 5])
-    def test_thread_count_is_cpus_items_and_cap(self, monkeypatch, cpus, count):
+    def test_thread_count_is_items_and_cap(self, count):
         """``count`` items in two shares, as wigner_grid shares its chunks (serial
-        for one), run on min(cpus, count, 2) threads, the caller's among them."""
-        monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
+        for one), run on min(count, 2) threads, the caller's among them."""
         threads = []
 
         def job(share):
@@ -308,15 +306,29 @@ class TestRunWorkers:
 
         items = range(count)
         results = states._run_pair(job(items[0::2]), job(items[1::2]), serial=count < 2)
-        assert len(set(threads)) == min(cpus, count, 2)
+        assert len(set(threads)) == min(count, 2)
         assert threading.get_ident() in threads
         assert results == [[2 * i for i in items[0::2]], [2 * i for i in items[1::2]]]
         threads.clear()
         assert states._run_pair(job(items[0::2]), job(items[1::2]), serial=True) == results
         assert threads == [threading.get_ident()] * 2
 
-    def test_no_thread_left_running(self, monkeypatch):
-        monkeypatch.setattr(states, "_cpu_count", lambda: 2)
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform cannot pin a thread to one CPU")
+    def test_helper_thread_on_one_cpu(self):
+        """Pinned to one CPU, ``second`` still runs on a helper thread exactly
+        when ``serial`` is false: no path reads the CPU allowance."""
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})  # this thread; the helper inherits it
+        try:
+            for serial in (False, True):
+                ran = states._run_pair(threading.get_ident, threading.get_ident, serial=serial)
+                assert ran[0] == threading.get_ident()
+                assert (ran[1] != ran[0]) is not serial
+        finally:
+            os.sched_setaffinity(0, allowed)
+
+    def test_no_thread_left_running(self):
         before = threading.active_count()
 
         def slow():
@@ -333,26 +345,25 @@ class TestRunWorkers:
                 pass
             assert threading.active_count() == before
 
-    def test_failure_reaches_caller(self, monkeypatch):
-        """``first``'s exception is raised ahead of ``second``'s, on one CPU or two."""
+    def test_failure_reaches_caller(self):
+        """``first``'s exception is raised ahead of ``second``'s, threaded or ``serial``."""
         def fail(exc):
             def run():
                 raise exc
             return run
 
-        for cpus in (1, 2):
-            monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
+        for serial in (False, True):
             with pytest.raises(KeyError, match="second"):
-                states._run_pair(lambda: 0, fail(KeyError("second")))
+                states._run_pair(lambda: 0, fail(KeyError("second")), serial=serial)
             with pytest.raises(KeyError, match="first"):
-                states._run_pair(fail(KeyError("first")), lambda: 0)
+                states._run_pair(fail(KeyError("first")), lambda: 0, serial=serial)
             with pytest.raises(KeyError, match="first"):
-                states._run_pair(fail(KeyError("first")), fail(ValueError("second")))
+                states._run_pair(fail(KeyError("first")), fail(ValueError("second")),
+                                 serial=serial)
 
-    def test_interrupt_is_raised_after_the_join(self, monkeypatch):
+    def test_interrupt_is_raised_after_the_join(self):
         """An interrupt or exit from either job comes before any ``Exception``, and
         ``first``'s before ``second``'s; the thread has ended by then."""
-        monkeypatch.setattr(states, "_cpu_count", lambda: 2)
         before = threading.active_count()
 
         def fail(exc):
@@ -370,10 +381,9 @@ class TestRunWorkers:
                 states._run_pair(first, second)
             assert threading.active_count() == before
 
-    def test_no_item_lost_under_fast_thread_switching(self, monkeypatch):
+    def test_no_item_lost_under_fast_thread_switching(self):
         """Pairs nested in pairs run four jobs on four threads, more than there
         are cores, and every result arrives in its place."""
-        monkeypatch.setattr(states, "_cpu_count", lambda: 2)
         before = threading.active_count()
         items = np.arange(400.0)
         quarters = [items[k::4] for k in range(4)]
@@ -395,9 +405,9 @@ class TestRunWorkers:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
 
-    def test_run_stops_after_a_failure(self, monkeypatch):
-        """Run in turn (one CPU, or ``serial``), a failed ``first`` skips ``second``;
-        beside it on a thread, ``second`` has run by the time the failure is raised."""
+    def test_run_stops_after_a_failure(self):
+        """Run in turn (``serial``), a failed ``first`` skips ``second``; beside
+        it on a thread, ``second`` has run by the time the failure is raised."""
         ran = []
 
         def first():
@@ -407,24 +417,8 @@ class TestRunWorkers:
         def second():
             ran.append("second")
 
-        for cpus, serial, expected in [(1, False, ["first"]), (2, True, ["first"]),
-                                       (2, False, ["first", "second"])]:
-            monkeypatch.setattr(states, "_cpu_count", lambda: cpus)
+        for serial, expected in [(True, ["first"]), (False, ["first", "second"])]:
             ran.clear()
             with pytest.raises(RuntimeError, match="first"):
                 states._run_pair(first, second, serial=serial)
             assert sorted(ran) == expected
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        """Where os.sched_getaffinity is missing (macOS, Windows), os.cpu_count() counts."""
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert states._cpu_count() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-        assert states._cpu_count() == 1
-        assert states._run_pair(lambda: -1, lambda: -2) == [-1, -2]
-
-    def test_cpu_count_reads_the_affinity_set(self):
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("the platform reports no affinity set")
-        assert states._cpu_count() == len(os.sched_getaffinity(0))

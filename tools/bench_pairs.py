@@ -14,8 +14,11 @@ those that ``BENCHMARK.json`` lists, are printed as they arrive. The summary
 gives, per metric, the number of pairs the change won (strictly better in
 the metric's ``better`` direction), and each side's median and quartiles;
 ``drop>IQR`` says whether the medians differ in the better direction by
-more than the distance between the base's quartiles. Exits 2 if a run
-printed no result, and 1 if a run failed one of its correctness checks.
+more than the distance between the base's quartiles, and ``worse>bound``
+whether the change's median is worse than the base's by more than the
+metric's ``bound`` in ``BENCHMARK.json``, a fraction of the base's median:
+the rule by which a change regresses. Exits 2 if a run printed no result,
+and 1 if a run failed one of its correctness checks.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def end_to_end_metrics() -> list:
-    """``(name, better)`` of every end-to-end metric in BENCHMARK.json."""
+    """``(name, better, bound)`` of every end-to-end metric in BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
 def unpack(rev: str, into: Path) -> None:
@@ -91,22 +94,24 @@ def main(argv=None) -> int:
                 all_correct = all_correct and result["correct"]
                 sides[side].append({k: v["value"] for k, v in result["metrics"].items()})
             print(f"pair {i + 1} (seed {args.seed + i}, {order[0]} first)")
-            for name, _ in metrics:
+            for name, _, _ in metrics:
                 print(f"   {name:14s} base {sides['base'][-1][name]:>12.6g}"
                       f"   change {sides['change'][-1][name]:>12.6g}")
     print(f"\n{args.workload}: {args.pairs} pairs, base {args.base} against the working tree")
     print(f"{'metric':14s} {'better':6s} {'wins':>6s}   {'base q1 / median / q3':>32s}"
-          f"   {'change q1 / median / q3':>32s}   drop>IQR")
-    for name, better in metrics:
+          f"   {'change q1 / median / q3':>32s}   drop>IQR   worse>bound")
+    for name, better, bound in metrics:
         base = [run[name] for run in sides["base"]]
         change = [run[name] for run in sides["change"]]
         sign = -1.0 if better == "lower" else 1.0
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         bq, cq = quartiles(base), quartiles(change)
         beats_spread = sign * (cq[1] - bq[1]) > bq[2] - bq[0]
+        regresses = sign * (bq[1] - cq[1]) > bound * abs(bq[1])
         print(f"{name:14s} {better:6s} {wins:>3d}/{args.pairs:<2d}"
               f"   {bq[0]:>10.4g} {bq[1]:>10.4g} {bq[2]:>10.4g}"
-              f"   {cq[0]:>10.4g} {cq[1]:>10.4g} {cq[2]:>10.4g}   {'yes' if beats_spread else 'no'}")
+              f"   {cq[0]:>10.4g} {cq[1]:>10.4g} {cq[2]:>10.4g}"
+              f"   {'yes' if beats_spread else 'no':8s}   {'YES' if regresses else 'no'}")
     return 0 if all_correct else 1
 
 
