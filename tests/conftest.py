@@ -51,3 +51,19 @@ def spin150():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240816)
+
+
+@pytest.fixture
+def pin_cpus():
+    """A function that pins this thread, and the threads it goes on to start, to
+    ``count`` of its allowed CPUs (all of them where fewer are allowed). The
+    allowance is restored after the test. Where the platform cannot pin a
+    thread, the function changes nothing."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield lambda count: None
+        return
+    allowed = os.sched_getaffinity(0)
+    try:
+        yield lambda count: os.sched_setaffinity(0, sorted(allowed)[:count])
+    finally:
+        os.sched_setaffinity(0, allowed)

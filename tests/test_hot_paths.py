@@ -743,36 +743,44 @@ class TestOverlappedValidation:
         assert in_turn[3] and threaded == in_turn
         assert switching == [in_turn] * 3
 
-    def test_too_small_basis_stays_inconclusive(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_too_small_basis_stays_inconclusive(self, pin_cpus, cpus):
+        pin_cpus(cpus)
         before = threading.active_count()
         report = oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(8))
         assert report.inconclusive
         assert threading.active_count() == before
 
-    def test_truncation_wins_over_eigensolve_error(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_truncation_wins_over_eigensolve_error(self, monkeypatch, pin_cpus, cpus):
         def truncated(sol, basis):
             raise TruncationError("tail mass")
 
         monkeypatch.setattr(oracle, "series_to_fock", truncated)
         monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
+        pin_cpus(cpus)
         before = threading.active_count()
         report = oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
         assert report.inconclusive
         assert threading.active_count() == before
 
-    def test_eigensolve_error_reaches_caller(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_eigensolve_error_reaches_caller(self, monkeypatch, pin_cpus, cpus):
         monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
+        pin_cpus(cpus)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="eigensolve failed"):
             oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))
         assert threading.active_count() == before
 
-    def test_displacement_error_wins_over_eigensolve_error(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_displacement_error_wins_over_eigensolve_error(self, monkeypatch, pin_cpus, cpus):
         def failing(sol, basis):
             raise ValueError("displacement failed")
 
         monkeypatch.setattr(oracle, "series_to_fock", failing)
         monkeypatch.setattr(oracle, "hermitian_eigensystem", _failing_eigensolve)
+        pin_cpus(cpus)
         before = threading.active_count()
         with pytest.raises(ValueError, match="displacement failed"):
             oracle.validate_series_solution(case1_closed_form(0.2, 0.0, 1), FockBasis(60))

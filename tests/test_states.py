@@ -292,10 +292,13 @@ class TestRunWorkers:
     """states._run_pair, the library's one way to start a thread: its two jobs
     run on the caller's thread and on at most one more."""
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("count", [1, 2, 5])
-    def test_thread_count_is_items_and_cap(self, count):
+    def test_thread_count_is_cpus_items_and_cap(self, pin_cpus, cpus, count):
         """``count`` items in two shares, as wigner_grid shares its chunks (serial
-        for one), run on min(count, 2) threads, the caller's among them."""
+        for one), run on min(count, 2) threads, the caller's among them, whether
+        the process may use one CPU or more."""
+        pin_cpus(cpus)
         threads = []
 
         def job(share):
